@@ -8,6 +8,7 @@ Usage: python scripts/sequence_benchmark.py [n_tasks] [n_instances]
 """
 
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -43,14 +44,7 @@ def main():
               f"{best:.4f} ({'hit' if hit else 'MISS'}), first-gen best "
               f"{result.best_history[0]:.4f}")
     print(f"\n{hits}/{n_instances} instances solved to optimality "
-          f"({n_tasks} tasks, {math_perms(n_tasks)} permutations each)")
-
-
-def math_perms(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+          f"({n_tasks} tasks, {math.factorial(n_tasks)} permutations each)")
 
 
 if __name__ == "__main__":

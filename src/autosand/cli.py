@@ -1,17 +1,18 @@
 """Command-line entry points for the sanding workcell simulation.
 
-Exit codes: 0 all faces pass, 2 quality failure, 3 planner failure,
-4 numeric failure.
+The subcommands run the same stage functions as ``run`` and write the same
+files.  Exit codes: 0 all faces pass, 1 bad input (unreadable or invalid
+config, unknown face, missing input files), 2 quality failure, 3 planner
+failure, 4 numeric failure.  Every failure prints one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import dynamics as dyn
 from . import harness
@@ -20,9 +21,13 @@ from . import pointcloud as pc
 from .config import PipelineConfig, load_config, save_config
 
 EXIT_OK = 0
+EXIT_INPUT = 1
 EXIT_QUALITY = 2
 EXIT_PLANNER = 3
 EXIT_NUMERIC = 4
+
+NUMERIC_ERRORS = (dyn.IntegrationDiverged, dyn.SingularJacobian, dyn.JointLimitViolation)
+INPUT_ERRORS = (OSError, ValueError, configparser.Error)
 
 
 def _load(args) -> PipelineConfig:
@@ -31,21 +36,19 @@ def _load(args) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _classify(err: Exception) -> int:
+def _exit_code(err: Exception) -> int:
     cause = err.cause if isinstance(err, harness.PipelineError) else err
     if isinstance(cause, (pln.NoPathFound, pln.InvalidEndpoint)):
         return EXIT_PLANNER
-    return EXIT_NUMERIC
+    if isinstance(err, (harness.PipelineError, *NUMERIC_ERRORS)):
+        return EXIT_NUMERIC
+    return EXIT_INPUT
 
 
 def cmd_scan(args) -> int:
     config = _load(args)
     out = Path(args.out)
-    (out / "scans").mkdir(parents=True, exist_ok=True)
-    cell = harness.build_workcell(config)
-    rough = harness._roughness_array(
-        cell, {f: config.object.roughness for f in cell.face_ids})
-    harness._scan_stage(config, cell, rough, out)
+    harness._scan_stage(config, harness.build_workcell(config), out)
     print(f"wrote {config.scanner.n_views} views to {out / 'scans'}")
     return EXIT_OK
 
@@ -56,10 +59,7 @@ def cmd_model(args) -> int:
     scans_dir = Path(args.scans) if args.scans else out / "scans"
     manifest = json.loads((scans_dir / "views.json").read_text())
     scans = [pc.load_ply(scans_dir / f) for f in manifest["files"]]
-    model_cloud = pc.merge_scans(scans, manifest["angles"], icp_params=config.icp,
-                                 sor_k=config.sor.k, sor_alpha=config.sor.alpha)
-    out.mkdir(parents=True, exist_ok=True)
-    pc.save_ply(model_cloud, out / "model.ply")
+    model_cloud = harness._model_stage(config, scans, manifest["angles"], out)
     print(f"merged {len(scans)} views into {out / 'model.ply'} ({len(model_cloud)} points)")
     return EXIT_OK
 
@@ -67,28 +67,11 @@ def cmd_model(args) -> int:
 def cmd_plan(args) -> int:
     config = _load(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cell = harness.build_workcell(config)
-    try:
-        seq = harness._sequence_stage(config, cell, out)
-        order = [cell.tasks[i] for i in seq.order]
-        current = np.asarray(config.pipeline.home, dtype=float)
-        for k, task in enumerate(order):
-            path = pln.plan_single_query(cell.planner_ctx, current, task.approach)
-            traj = pln.lspb_parameterize(path, config.robot.velocity_limits,
-                                         config.robot.acceleration_limits,
-                                         config.planner.sample_dt)
-            harness.write_csv(out / f"transit_{k:02d}_face{task.face_id:02d}.csv",
-                              ["t"] + [f"q{i}" for i in range(1, 5)]
-                              + [f"qd{i}" for i in range(1, 5)]
-                              + [f"qdd{i}" for i in range(1, 5)],
-                              np.hstack([traj.times[:, None], traj.positions,
-                                         traj.velocities, traj.accelerations]))
-            current = task.approach
-    except harness.PipelineError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _classify(err)
-    print(f"sequence {json.loads((out / 'sequence.json').read_text())['order']}"
+    seq = harness._sequence_stage(config, cell, out)
+    for leg, (i, j) in enumerate(zip([-1] + seq.order[:-1], seq.order)):
+        harness._transit_leg(config, cell, i, j, leg, out)
+    print(f"sequence {[cell.tasks[i].face_id for i in seq.order]}"
           f" cost {seq.total_cost:.4f}")
     return EXIT_OK
 
@@ -96,24 +79,20 @@ def cmd_plan(args) -> int:
 def cmd_sand(args) -> int:
     config = _load(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        if args.face is None:
-            setup = harness.nominal_setup(config,
-                                          duration=args.duration or 10.0)
-            result = harness.simulate_sanding(setup, config.sim.transient,
-                                              config.sim.tail_fraction)
-            name = "sand_nominal.csv"
-        else:
-            cell = harness.build_workcell(config)
-            task = next(t for t in cell.tasks if t.face_id == args.face)
-            result = harness.sanding_phase(config, task, duration=args.duration,
-                                           noise_seed=config.sim.seed)
-            name = f"sand_face{args.face:02d}.csv"
-    except (dyn.IntegrationDiverged, dyn.SingularJacobian, dyn.JointLimitViolation) as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    harness.write_csv(out / name, harness.LOG_COLUMNS, result.log)
+    if args.face is None:
+        setup = harness.nominal_setup(config, duration=args.duration or 10.0)
+        result = harness.simulate_sanding(setup, config.sim.transient,
+                                          config.sim.tail_fraction)
+        out.mkdir(parents=True, exist_ok=True)
+        harness.write_csv(out / "sand_nominal.csv", harness.LOG_COLUMNS, result.log)
+    else:
+        cell = harness.build_workcell(config)
+        if args.face not in cell.face_ids:
+            raise ValueError(f"no lateral face {args.face}; faces are {cell.face_ids}")
+        if args.duration is not None:
+            config.sim.sanding_duration = args.duration
+        task = cell.tasks[cell.face_ids.index(args.face)]
+        result = harness._sand_face(config, cell, task, 0, out)
     print(f"steady force {result.steady_force:.3f} N "
           f"(error {result.steady_force_error:+.3f} N), "
           f"tail |zq| {result.mean_zq_tail:.2e}, "
@@ -122,12 +101,7 @@ def cmd_sand(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load(args)
-    try:
-        report = harness.run_pipeline(config, args.out)
-    except harness.PipelineError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _classify(err)
+    report = harness.run_pipeline(_load(args), args.out)
     print(f"pipeline {'PASS' if report.passed else 'FAIL'}: "
           f"{sum(f.passed for f in report.faces)}/{len(report.faces)} faces, "
           f"travel cost {report.total_travel_cost:.4f}, "
@@ -196,7 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (harness.PipelineError, *NUMERIC_ERRORS, *INPUT_ERRORS) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return _exit_code(err)
 
 
 if __name__ == "__main__":

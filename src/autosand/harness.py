@@ -191,7 +191,11 @@ def write_csv(path, columns, rows) -> None:
 
 @dataclass
 class Workcell:
-    """Object mesh, belt obstacle, per-face sanding tasks, planner context."""
+    """Object mesh, belt obstacle, per-face sanding tasks, planner context.
+
+    ``roughness`` holds the current surface roughness of every mesh face (caps
+    stay 0); ``transits`` memoises planned paths by (from, to) task index.
+    """
 
     config: PipelineConfig
     mesh: ConvexShape
@@ -199,6 +203,8 @@ class Workcell:
     tasks: list
     belt: ConvexShape
     planner_ctx: pln.PlannerContext
+    roughness: np.ndarray
+    transits: dict = field(default_factory=dict)
 
 
 def build_object(config: PipelineConfig) -> ConvexShape:
@@ -244,7 +250,9 @@ def build_workcell(config: PipelineConfig) -> Workcell:
         max_rule_repairs=config.planner.max_rule_repairs,
         sample_budget=config.planner.sample_budget,
         seed=derive_seed(config.sim.seed, 11))
-    return Workcell(config, mesh, faces, tasks, belt_shape, ctx)
+    roughness = np.zeros(len(mesh.faces))
+    roughness[faces] = config.object.roughness
+    return Workcell(config, mesh, faces, tasks, belt_shape, ctx, roughness)
 
 
 def build_network(config: PipelineConfig) -> ctl.RbfNetwork:
@@ -421,9 +429,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunReport:
     before PipelineError propagates.
     """
     out = Path(out_dir)
-    (out / "scans").mkdir(parents=True, exist_ok=True)
-    (out / "faces").mkdir(exist_ok=True)
-    (out / "transits").mkdir(exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     report = RunReport()
     t_start = time.perf_counter()
     try:
@@ -452,13 +458,14 @@ def _stage(name):
 
 
 @_stage("scan")
-def _scan_stage(config, cell, roughness, out):
+def _scan_stage(config, cell, out):
+    (out / "scans").mkdir(parents=True, exist_ok=True)
     angles = [2.0 * np.pi * k / config.scanner.n_views
               for k in range(config.scanner.n_views)]
     lo, hi = field_bounds(config)
     scans = []
     for k, angle in enumerate(angles):
-        raw = scan_view(config, cell.mesh, roughness, angle,
+        raw = scan_view(config, cell.mesh, cell.roughness, angle,
                         derive_seed(config.sim.seed, 7, k))
         pc.save_ply(raw, out / "scans" / f"view_{k}_raw.ply")
         filtered = pc.field_limits_filter(raw, lo, hi)
@@ -471,32 +478,35 @@ def _scan_stage(config, cell, roughness, out):
 
 
 @_stage("model")
-def _model_stage(config, cell, scans, angles, out):
+def _model_stage(config, scans, angles, out):
+    out.mkdir(parents=True, exist_ok=True)
     model_cloud = pc.merge_scans(scans, angles, icp_params=config.icp,
                                  sor_k=config.sor.k, sor_alpha=config.sor.alpha)
     pc.save_ply(model_cloud, out / "model.ply")
     return model_cloud
 
 
+def transit_endpoint(config: PipelineConfig, cell: Workcell, i: int) -> np.ndarray:
+    """Joint configuration a transit starts or ends at: task i's approach, or
+    the home configuration for i = -1."""
+    if i < 0:
+        return np.asarray(config.pipeline.home, dtype=float)
+    return cell.tasks[i].approach
+
+
 @_stage("plan")
 def _sequence_stage(config, cell, out):
-    home = np.asarray(config.pipeline.home, dtype=float)
-    configs = [home] + [t.approach for t in cell.tasks]
-    cache = {}
-
     def transition(i, j):
-        if (i, j) not in cache:
-            qa = configs[i + 1]
-            qb = configs[j + 1]
-            if config.planner.straight_line_cost:
-                path = pln.Path([qa, qb])
-            else:
-                path = pln.plan_single_query(cell.planner_ctx, qa, qb)
-            cache[(i, j)] = pln.path_cost(path, config.ga.weights)
-        return cache[(i, j)]
+        if config.planner.straight_line_cost:
+            path = pln.Path([transit_endpoint(config, cell, i),
+                             transit_endpoint(config, cell, j)])
+        else:
+            path = _plan_transit(config, cell, i, j)
+        return pln.path_cost(path, config.ga.weights)
 
     result = pln.ga_optimize_sequence(cell.tasks, config.ga, transition)
     n = len(cell.tasks)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "cost_matrix.csv",
               [f"to_{t.face_id}" for t in cell.tasks],
               np.vstack([[transition(-1, j) for j in range(n)], result.cost_matrix]))
@@ -508,10 +518,40 @@ def _sequence_stage(config, cell, out):
     return result
 
 
+@_stage("plan")
+def _plan_transit(config, cell, i, j):
+    """Collision-free path from task i to task j (-1: home), planned once per pair."""
+    if (i, j) not in cell.transits:
+        cell.transits[(i, j)] = pln.plan_single_query(
+            cell.planner_ctx, transit_endpoint(config, cell, i),
+            transit_endpoint(config, cell, j))
+    return cell.transits[(i, j)]
+
+
+TRANSIT_COLUMNS = (["t"] + [f"q{i}" for i in range(1, 5)] + [f"qd{i}" for i in range(1, 5)]
+                   + [f"qdd{i}" for i in range(1, 5)])
+
+
+@_stage("plan")
+def _transit_leg(config, cell, i, j, leg, out) -> pln.Trajectory:
+    """Plan and time the leg from task i (-1: home) to task j and write its CSV."""
+    traj = pln.lspb_parameterize(_plan_transit(config, cell, i, j),
+                                 config.robot.velocity_limits,
+                                 config.robot.acceleration_limits,
+                                 config.planner.sample_dt)
+    (out / "transits").mkdir(parents=True, exist_ok=True)
+    write_csv(out / "transits" / f"leg{leg:02d}_face{cell.tasks[j].face_id:02d}.csv",
+              TRANSIT_COLUMNS,
+              np.hstack([traj.times[:, None], traj.positions,
+                         traj.velocities, traj.accelerations]))
+    return traj
+
+
 @_stage("sand")
 def _sand_face(config, cell, task, attempt, out):
     seed = derive_seed(config.sim.seed, 13, task.face_id, attempt)
     result = sanding_phase(config, task, noise_seed=seed)
+    (out / "faces").mkdir(parents=True, exist_ok=True)
     write_csv(out / "faces" / f"face{task.face_id:02d}_attempt{attempt}.csv",
               LOG_COLUMNS, result.log)
     return result
@@ -519,78 +559,50 @@ def _sand_face(config, cell, task, attempt, out):
 
 @_stage("assess")
 def _assess_face(config, cell, task, attempt, rough_before, rough_after):
-    rb = _roughness_array(cell, rough_before)
-    ra = _roughness_array(cell, rough_after)
-    cloud_b = scan_face(config, cell.mesh, rb, task.face_id,
+    cloud_b = scan_face(config, cell.mesh, rough_before, task.face_id,
                         derive_seed(config.sim.seed, 17, task.face_id, attempt, 0))
-    cloud_a = scan_face(config, cell.mesh, ra, task.face_id,
+    cloud_a = scan_face(config, cell.mesh, rough_after, task.face_id,
                         derive_seed(config.sim.seed, 17, task.face_id, attempt, 1))
     return pc.assess_quality(cloud_b, cloud_a, config.quality)
 
 
-def _roughness_array(cell: Workcell, by_face: dict) -> np.ndarray:
-    arr = np.zeros(len(cell.mesh.faces))
-    for face, value in by_face.items():
-        arr[face] = value
-    return arr
-
-
 def _run_stages(config: PipelineConfig, out, report: RunReport) -> None:
     cell = build_workcell(config)
-    roughness = {f: config.object.roughness for f in cell.face_ids}
-
-    scans, angles = _scan_stage(config, cell, _roughness_array(cell, roughness), out)
-    _model_stage(config, cell, scans, angles, out)
+    scans, angles = _scan_stage(config, cell, out)
+    _model_stage(config, scans, angles, out)
     seq = _sequence_stage(config, cell, out)
     report.total_travel_cost = seq.total_cost
 
-    home = np.asarray(config.pipeline.home, dtype=float)
-    current = home
-    queue = [cell.tasks[i] for i in seq.order]
-    attempts = {t.face_id: 0 for t in cell.tasks}
+    queue = list(seq.order)
+    attempts = [0] * len(cell.tasks)
     face_reports = {}
-    position = {cell.tasks[i].face_id: k for k, i in enumerate(seq.order)}
+    current = -1
     leg = 0
 
     while queue:
-        task = queue.pop(0)
-        attempt = attempts[task.face_id]
-        transit = _plan_transit(config, cell, current, task.approach)
-        traj = pln.lspb_parameterize(transit, config.robot.velocity_limits,
-                                     config.robot.acceleration_limits,
-                                     config.planner.sample_dt)
-        write_csv(out / "transits" / f"leg{leg:02d}_face{task.face_id:02d}.csv",
-                  ["t"] + [f"q{i}" for i in range(1, 5)]
-                  + [f"qd{i}" for i in range(1, 5)]
-                  + [f"qdd{i}" for i in range(1, 5)],
-                  np.hstack([traj.times[:, None], traj.positions,
-                             traj.velocities, traj.accelerations]))
+        k = queue.pop(0)
+        task = cell.tasks[k]
+        attempt = attempts[k]
+        _transit_leg(config, cell, current, k, leg, out)
         leg += 1
-        current = task.approach
+        current = k
 
-        rough_before = dict(roughness)
+        rough_before = cell.roughness.copy()
         result = _sand_face(config, cell, task, attempt, out)
-        target = config.setpoint.force
-        grip = min(max(result.steady_force / target, 0.0), 1.0)
-        roughness[task.face_id] *= (1.0 - config.object.removal_rate * grip)
+        grip = min(max(result.steady_force / config.setpoint.force, 0.0), 1.0)
+        cell.roughness[task.face_id] *= (1.0 - config.object.removal_rate * grip)
 
-        quality = _assess_face(config, cell, task, attempt,
-                               rough_before, roughness)
+        quality = _assess_face(config, cell, task, attempt, rough_before, cell.roughness)
         passed = quality.passed or not config.pipeline.quality_gate
-        face_reports[task.face_id] = FaceReport(
-            face_id=task.face_id, sequence_position=position[task.face_id],
+        face_reports[k] = FaceReport(
+            face_id=task.face_id, sequence_position=seq.order.index(k),
             duration=config.sim.sanding_duration,
             steady_force=result.steady_force,
             steady_force_error=result.steady_force_error,
             max_zq_after_transient=result.max_zq_after_transient,
             quality=quality, resand_count=attempt, passed=passed)
         if not passed and attempt < config.pipeline.max_resand:
-            attempts[task.face_id] += 1
-            queue.append(task)
+            attempts[k] += 1
+            queue.append(k)
 
-    report.faces = [face_reports[t.face_id] for t in cell.tasks]
-
-
-@_stage("plan")
-def _plan_transit(config, cell, q_from, q_to):
-    return pln.plan_single_query(cell.planner_ctx, q_from, q_to)
+    report.faces = [face_reports[k] for k in range(len(cell.tasks))]

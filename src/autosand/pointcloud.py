@@ -369,14 +369,3 @@ def load_ply(path) -> PointCloud:
     inten = data[:, 3] if "intensity" in props else None
     return PointCloud(data[:, :3], inten)
 
-
-def save_xyz(cloud: PointCloud, path) -> None:
-    """Plain text, one whitespace-separated point per line."""
-    with open(path, "w") as fh:
-        for p in cloud.points:
-            fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-
-
-def load_xyz(path) -> PointCloud:
-    pts = np.loadtxt(path, ndmin=2)
-    return PointCloud(pts[:, :3])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from autosand import cli, harness
+from autosand import planner as pln
 from autosand.config import PipelineConfig, from_ini, load_config, save_config, to_ini
 
 
@@ -59,6 +60,10 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             from_ini("[contact]\nbananas = 7\n")
 
+    def test_default_ini_matches_defaults(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+        assert path.read_text() == to_ini(PipelineConfig())
+
     def test_dt_ratio_validated(self):
         cfg = PipelineConfig()
         cfg.sim.dt_control = 2.5e-4
@@ -66,7 +71,30 @@ class TestConfigFile:
             PipelineConfig(sim=cfg.sim)
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """One `run_pipeline(small_config())`, with its plan_single_query call count."""
+    calls = []
+    original = pln.plan_single_query
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    out = tmp_path_factory.mktemp("small_run")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pln, "plan_single_query", counted)
+        harness.run_pipeline(small_config(), out)
+    return {"out": out, "calls": len(calls)}
+
+
 class TestPipelineDeterminism:
+    def test_each_transit_planned_once(self, small_run):
+        # 4 home legs + 12 ordered face pairs for the GA; the executed legs
+        # reuse those paths.
+        assert small_run["calls"] == 16
+        assert len(list((small_run["out"] / "transits").glob("leg*.csv"))) == 4
+
     def test_identical_artifacts(self, tmp_path):
         cfg = small_config()
         r1 = harness.run_pipeline(cfg, tmp_path / "a")
@@ -135,7 +163,42 @@ class TestCli:
                          "--face", "1", "--duration", "1.0"]) == 0
         assert (Path(out) / "model.ply").exists()
         assert (Path(out) / "sequence.json").exists()
-        assert (Path(out) / "sand_face01.csv").exists()
+        assert (Path(out) / "faces" / "face01_attempt0.csv").exists()
+
+    def test_stage_commands_match_run(self, tmp_path, small_run):
+        """`plan` and `sand --face` write the same files as `run`."""
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(small_config(), cfg_path)
+        out = tmp_path / "work"
+        assert cli.main(["plan", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli.main(["sand", "--config", str(cfg_path), "--out", str(out),
+                         "--face", "2"]) == 0
+        legs = sorted((out / "transits").glob("leg*.csv"))
+        assert len(legs) == 4
+        plan_files = [out / name for name in ("cost_matrix.csv", "ga_history.csv",
+                                              "sequence.json")]
+        for path in legs + plan_files + [out / "faces" / "face02_attempt0.csv"]:
+            rel = path.relative_to(out)
+            assert path.read_bytes() == (small_run["out"] / rel).read_bytes(), rel
+
+    def test_bad_config_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[contact]\nbananas = 7\n")
+        for path in (bad, tmp_path / "missing.ini"):
+            assert cli.main(["run", "--config", str(path),
+                             "--out", str(tmp_path / "run")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_unknown_face_exit_code(self, tmp_path, capsys):
+        assert cli.main(["sand", "--out", str(tmp_path), "--face", "99"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "99" in err
+
+    def test_missing_scans_exit_code(self, tmp_path, capsys):
+        assert cli.main(["model", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "views.json" in err
 
     def test_run_and_report_pass(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"

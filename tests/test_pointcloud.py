@@ -331,12 +331,6 @@ class TestFileFormats:
         body = (tmp_path / "digits.ply").read_text().splitlines()[-1]
         assert body.split() == ["0.333333333", "0.666666667", "1e-07"]
 
-    def test_xyz_roundtrip(self, tmp_path, rng):
-        cloud = pc.PointCloud(rng.standard_normal((50, 3)))
-        pc.save_xyz(cloud, tmp_path / "cloud.xyz")
-        loaded = pc.load_xyz(tmp_path / "cloud.xyz")
-        assert np.abs(loaded.points - cloud.points).max() < 1e-8
-
     def test_intensity_length_mismatch(self):
         with pytest.raises(ValueError):
             pc.PointCloud(np.zeros((5, 3)), intensity=np.zeros(4))
