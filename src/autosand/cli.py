@@ -2,8 +2,9 @@
 
 The subcommands run the same stage functions as ``run`` and write the same
 files.  Exit codes: 0 all faces pass, 1 bad input (unreadable or invalid
-config, unknown face, missing input files), 2 quality failure, 3 planner
-failure, 4 numeric failure.  Every failure prints one line on stderr.
+config, unknown face, missing input files, bad arguments), 2 quality failure,
+3 planner failure, 4 numeric failure.  Every failure prints one line on
+stderr, and ``report`` exits with the code the reported ``run`` exited with.
 """
 
 from __future__ import annotations
@@ -36,13 +37,21 @@ def _load(args) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _exit_code(err: Exception) -> int:
-    cause = err.cause if isinstance(err, harness.PipelineError) else err
-    if isinstance(cause, (pln.NoPathFound, pln.InvalidEndpoint)):
+def _exit_code(failure: type, in_stage: bool) -> int:
+    """Exit code of a failure of class ``failure``; inside a pipeline stage
+    that is the class of the stage error's cause."""
+    if issubclass(failure, (pln.NoPathFound, pln.InvalidEndpoint)):
         return EXIT_PLANNER
-    if isinstance(err, (harness.PipelineError, *NUMERIC_ERRORS)):
+    if in_stage or issubclass(failure, NUMERIC_ERRORS):
         return EXIT_NUMERIC
     return EXIT_INPUT
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as bad input: one ``error:`` line, exit code 1."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {self.prog}: {message}\n")
 
 
 def cmd_scan(args) -> int:
@@ -122,12 +131,13 @@ def cmd_report(args) -> int:
           f"{'PASS' if data['passed'] else 'FAIL'}")
     if data.get("error"):
         print(f"error: {data['error']}")
+        module, _, name = (data.get("error_class") or "").rpartition(".")
+        return _exit_code(getattr(sys.modules.get(module), name, Exception), True)
     return EXIT_OK if data["passed"] else EXIT_QUALITY
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="autosand",
-                                     description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="autosand", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -174,7 +184,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (harness.PipelineError, *NUMERIC_ERRORS, *INPUT_ERRORS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err)
+        in_stage = isinstance(err, harness.PipelineError)
+        return _exit_code(type(err.cause if in_stage else err), in_stage)
 
 
 if __name__ == "__main__":

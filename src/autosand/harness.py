@@ -406,6 +406,7 @@ class RunReport:
     wall_time: float = 0.0
     passed: bool = False
     error: str | None = None
+    error_class: str | None = None  # module.Class of the failed stage's cause
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, default=_json_default)
@@ -437,6 +438,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunReport:
         report.passed = all(f.passed for f in report.faces)
     except PipelineError as err:
         report.error = str(err)
+        report.error_class = f"{type(err.cause).__module__}.{type(err.cause).__qualname__}"
         raise
     finally:
         report.wall_time = time.perf_counter() - t_start

@@ -6,6 +6,13 @@ belt (falling back to seeded random via-points), and time-parameterizes the
 result with synchronized trapezoidal velocity profiles.  Multi-query planning
 orders the sanding tasks with a permutation GA over a memoized transition-cost
 matrix.
+
+A segment is swept in two phases.  The broad phase poses the payload for all
+of the segment's samples in one array pass and keeps only the samples whose
+world bounding box overlaps an obstacle's, widened by BROAD_MARGIN; a sample
+it drops cannot touch any obstacle.  The narrow phase runs the exact GJK test
+on the survivors in order, so the first colliding sample is the same one a
+sample-by-sample sweep would find.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .geometry import ConvexShape, RigidTransform
 
 GJK_MAX_ITERS = 64
 GJK_TOL = 1e-9
+BROAD_MARGIN = 1e-6  # m; far above GJK_TOL and the rounding of batched poses
 
 
 class NoPathFound(Exception):
@@ -214,8 +222,44 @@ class PlannerContext:
         n = max(2, int(np.ceil(travel / self.task_step)) + 1)
         return np.linspace(qa, qb, n)
 
+    def broad_phase(self, qs: np.ndarray) -> np.ndarray:
+        """Mask over the rows of qs: False where the payload's world bounding
+        box misses every obstacle's, widened by BROAD_MARGIN, so that
+        in_collision is False there too."""
+        x = _batch_forward_kinematics(self.model, qs)
+        cos, sin = np.cos(x[:, 2:]), np.sin(x[:, 2:])
+        vx, vy, vz = self.payload.vertices.T
+        wx = cos * vx - sin * vy + x[:, :1]
+        wy = sin * vx + cos * vy + x[:, 1:2]
+        lo = np.stack([wx.min(axis=1), wy.min(axis=1), np.full(len(qs), vz.min())], axis=1)
+        hi = np.stack([wx.max(axis=1), wy.max(axis=1), np.full(len(qs), vz.max())], axis=1)
+        near = np.zeros(len(qs), dtype=bool)
+        for shape, shape_pose in self.obstacles:
+            verts = shape_pose.apply(shape.vertices)
+            near |= ((lo <= verts.max(axis=0) + BROAD_MARGIN)
+                     & (hi >= verts.min(axis=0) - BROAD_MARGIN)).all(axis=1)
+        return near
+
+    def first_collision(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray | None:
+        """First sample of segment_samples(qa, qb) in collision, or None."""
+        samples = self.segment_samples(qa, qb)
+        for k in np.flatnonzero(self.broad_phase(samples)):
+            if self.in_collision(samples[k]):
+                return samples[k]
+        return None
+
     def segment_free(self, qa: np.ndarray, qb: np.ndarray) -> bool:
-        return not any(self.in_collision(q) for q in self.segment_samples(qa, qb))
+        return self.first_collision(qa, qb) is None
+
+
+def _batch_forward_kinematics(model: RobotModel, qs: np.ndarray) -> np.ndarray:
+    """forward_kinematics of every row of an (n, 4) array, as an (n, 3) array."""
+    l1, l2 = model.link_lengths
+    th1 = qs[:, 2]
+    phi = qs[:, 2] + qs[:, 3]
+    return np.stack([qs[:, 0] + l1 * np.cos(th1) + l2 * np.cos(phi),
+                     qs[:, 1] + l1 * np.sin(th1) + l2 * np.sin(phi),
+                     phi], axis=1)
 
 
 def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
@@ -242,11 +286,10 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
             yield q + jac_pinv @ shift
 
     def connect(qa, qb, repairs_left):
-        if ctx.segment_free(qa, qb):
+        hit = ctx.first_collision(qa, qb)
+        if hit is None:
             return [qa, qb]
         if repairs_left > 0:
-            samples = ctx.segment_samples(qa, qb)
-            hit = next(q for q in samples if ctx.in_collision(q))
             for via in retreat_candidates(hit):
                 if not ctx.within_limits(via) or ctx.in_collision(via):
                     continue
@@ -401,10 +444,11 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
             if i != j:
                 matrix[i, j] = transition_cost(i, j)
 
-    def fitness(perm):
-        cost = home_cost[perm[0]]
-        for a, b in zip(perm[:-1], perm[1:]):
-            cost += matrix[a, b]
+    def fitness(pop):
+        """Cost of every row of a population array, summed leg by leg."""
+        cost = home_cost[pop[:, 0]]
+        for k in range(n - 1):
+            cost = cost + matrix[pop[:, k], pop[:, k + 1]]
         return cost
 
     if n == 1:
@@ -414,8 +458,8 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
                         np.array([cost] * params.max_generations), matrix)
 
     rng = np.random.default_rng(params.seed)
-    pop = [rng.permutation(n) for _ in range(params.population_size)]
-    costs = np.array([fitness(p) for p in pop])
+    pop = np.array([rng.permutation(n) for _ in range(params.population_size)])
+    costs = fitness(pop)
     best_hist, mean_hist = [], []
 
     def tournament():
@@ -426,12 +470,8 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
         a, b = sorted(rng.integers(0, n, size=2))
         child = -np.ones(n, dtype=int)
         child[a:b + 1] = p1[a:b + 1]
-        fill = [g for g in p2 if g not in set(child[a:b + 1])]
-        k = 0
-        for i in range(n):
-            if child[i] < 0:
-                child[i] = fill[k]
-                k += 1
+        kept = set(child[a:b + 1])
+        child[child < 0] = [g for g in p2 if g not in kept]
         return child
 
     for _ in range(params.max_generations):
@@ -445,8 +485,8 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
                 i, j = rng.integers(0, n, size=2)
                 child[i], child[j] = child[j], child[i]
             new_pop.append(child)
-        pop = new_pop
-        costs = np.array([fitness(p) for p in pop])
+        pop = np.array(new_pop)
+        costs = fitness(pop)
         best_hist.append(costs.min())
         mean_hist.append(costs.mean())
 

@@ -73,19 +73,25 @@ class TestConfigFile:
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
-    """One `run_pipeline(small_config())`, with its plan_single_query call count."""
-    calls = []
-    original = pln.plan_single_query
+    """One `run_pipeline(small_config())`, with its plan_single_query and
+    gjk_intersects call counts."""
+    calls = {"plan_single_query": 0, "gjk_intersects": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(name):
+        original = getattr(pln, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
     out = tmp_path_factory.mktemp("small_run")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pln, "plan_single_query", counted)
+        for name in calls:
+            mp.setattr(pln, name, counted(name))
         harness.run_pipeline(small_config(), out)
-    return {"out": out, "calls": len(calls)}
+    return {"out": out, "calls": calls["plan_single_query"],
+            "gjk_calls": calls["gjk_intersects"]}
 
 
 class TestPipelineDeterminism:
@@ -94,6 +100,11 @@ class TestPipelineDeterminism:
         # reuse those paths.
         assert small_run["calls"] == 16
         assert len(list((small_run["out"] / "transits").glob("leg*.csv"))) == 4
+
+    def test_broad_phase_spares_gjk(self, small_run):
+        # exact GJK runs only on the sweep samples whose bounding box can
+        # touch the belt's; sweeping every sample took 39643 calls
+        assert small_run["gjk_calls"] == 441
 
     def test_identical_artifacts(self, tmp_path):
         cfg = small_config()
@@ -221,9 +232,9 @@ class TestCli:
         cfg = small_config(**{"pipeline.home": (-0.3, 0.0, 0.0, 0.0)})
         cfg_path = tmp_path / "cfg.ini"
         save_config(cfg, cfg_path)
-        code = cli.main(["run", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "run")])
-        assert code == 3
+        out = str(tmp_path / "run")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == 3
+        assert cli.main(["report", "--run", out]) == 3
 
     def test_numeric_failure_exit_code(self, tmp_path):
         cfg = small_config(**{"object.sides": 3})
@@ -231,9 +242,24 @@ class TestCli:
         cfg.sim.dt_control = 0.02
         cfg_path = tmp_path / "cfg.ini"
         save_config(cfg, cfg_path)
-        code = cli.main(["run", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "run")])
-        assert code == 4
+        out = str(tmp_path / "run")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == 4
+        assert cli.main(["report", "--run", out]) == 4
+
+    def test_usage_error_exit_code(self, capsys):
+        for argv in (["sand", "--face", "x"], [], ["bogus"], ["run", "--nope"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_help_exit_code(self, capsys):
+        for argv in (["--help"], ["sand", "--help"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 0
+        assert "--face" in capsys.readouterr().out
 
     def test_write_config(self, tmp_path):
         path = tmp_path / "default.ini"

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autosand import harness
 from autosand import planner as pl
-from autosand.dynamics import RobotModel
+from autosand.dynamics import RobotModel, forward_kinematics
 from autosand.geometry import RigidTransform, box
 from conftest import random_rotation, sat_box_margin
+from test_harness import small_config
 
 
 def random_box_pair(rng):
@@ -114,6 +116,46 @@ class TestPlanSingleQuery:
         assert not ctx.in_collision(start) and not ctx.in_collision(goal)
         with pytest.raises(pl.NoPathFound):
             pl.plan_single_query(ctx, start, goal)
+
+
+SMALL_CELL = harness.build_workcell(small_config())
+JOINT_LIMITS = SMALL_CELL.planner_ctx.model.joint_limits
+IN_LIMITS = st.tuples(*(st.floats(float(lo), float(hi)) for lo, hi in JOINT_LIMITS)).map(
+    np.array)
+# task configurations reach the belt, so segments ending there often collide
+ANCHORS = st.sampled_from([q for t in SMALL_CELL.tasks for q in (t.approach, t.contact)])
+
+
+class TestBroadPhase:
+    def test_batch_forward_kinematics_matches_scalar(self, rng):
+        model = RobotModel()
+        qs = rng.uniform(-3.2, 3.2, (200, 4))
+        batch = pl._batch_forward_kinematics(model, qs)
+        for q, x in zip(qs, batch):
+            assert x == pytest.approx(forward_kinematics(model, q), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(IN_LIMITS, st.one_of(ANCHORS, IN_LIMITS))
+    def test_conservative_and_first_hit_kept(self, qa, qb):
+        ctx = SMALL_CELL.planner_ctx
+        samples = ctx.segment_samples(qa, qb)
+        near = ctx.broad_phase(samples)
+        assert not any(ctx.in_collision(q) for q in samples[~near])
+        reference = next((q for q in samples if ctx.in_collision(q)), None)
+        hit = ctx.first_collision(qa, qb)
+        if reference is None:
+            assert hit is None
+        else:
+            assert np.array_equal(hit, reference)
+        assert ctx.segment_free(qa, qb) == (reference is None)
+
+    def test_obstacle_pose_applied(self):
+        wall = box((0.1, 0.1, 0.1))
+        ctx = pl.PlannerContext(RobotModel(), box((0.02,) * 3),
+                                [(wall, RigidTransform.planar(0.5, 0.0, 0.3))])
+        qs = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.4, 0.0, 0.0]])
+        assert ctx.broad_phase(qs).tolist() == [True, False]
+        assert ctx.in_collision(qs[0]) and not ctx.in_collision(qs[1])
 
 
 class TestLspb:
@@ -271,6 +313,19 @@ class TestGa:
         params = pl.GaParams(population_size=40, max_generations=15, seed=2)
         result = pl.ga_optimize_sequence(list(range(8)), params, cost)
         assert sorted(result.order) == list(range(8))
+
+    def test_total_cost_is_leg_sum_in_order(self):
+        # the population is scored in one batch; the sum must still be the
+        # per-sequence loop's, added leg by leg from home
+        cost = straight_line_instance(17, n_tasks=8)
+        params = pl.GaParams(population_size=40, max_generations=15, seed=4)
+        result = pl.ga_optimize_sequence(list(range(8)), params, cost)
+        order = result.order
+        total = cost(-1, order[0])
+        for a, b in zip(order[:-1], order[1:]):
+            total += cost(a, b)
+        assert result.total_cost == total
+        assert result.best_history[-1] == total
 
     def test_validation(self):
         with pytest.raises(ValueError):
