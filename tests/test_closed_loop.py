@@ -1,5 +1,7 @@
 """Closed-loop behaviour of the adaptive impedance controller on the simulated arm."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,21 @@ def nominal_run(config):
     """The headline regulation scenario, 10 s, noise-free sensor."""
     setup = harness.nominal_setup(config, duration=10.0, force_noise=0.0)
     return harness.simulate_sanding(setup)
+
+
+class TestReferenceTrace:
+    def test_nominal_log_matches_stored_trace(self, config):
+        """The 1 s noise-free nominal run reproduces the stored log bit for bit.
+
+        The trace was written by the tick that built a JointState per substep
+        and a new RbfNetwork per control step; moving the tick onto plain
+        arrays must not move a single bit, so the comparison is exact.
+        The pipeline's noise path is covered by the benchmark's digests.
+        """
+        expected = np.load(Path(__file__).parent / "data" / "nominal_1s_log.npy")
+        setup = harness.nominal_setup(config, duration=1.0, force_noise=0.0)
+        result = harness.simulate_sanding(setup)
+        np.testing.assert_array_equal(result.log, expected)
 
 
 class TestForceRegulation:
