@@ -8,7 +8,7 @@ planar 4-DOF arm pressing the workpiece against a sanding belt.
 
 from .config import PipelineConfig, load_config, save_config
 from .controller import ControllerGains, RbfNetwork, lyapunov_monitor
-from .dynamics import BeltContact, JointState, RobotModel, TaskState
+from .dynamics import BeltContact, RobotModel
 from .geometry import ConvexShape, RigidTransform
 from .harness import RunReport, run_pipeline, sanding_phase, simulate_sanding
 from .impedance import ForceFilterState, ImpedanceSpec, ReferenceTrajectory
@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeltContact", "ControllerGains", "ConvexShape", "ForceFilterState",
-    "GaParams", "ImpedanceSpec", "JointState", "Path", "PipelineConfig",
-    "PointCloud", "QualityReport", "RbfNetwork", "ReferenceTrajectory",
-    "RigidTransform", "RobotModel", "RunReport", "SandingTask", "TaskState",
-    "Trajectory", "load_config", "lyapunov_monitor", "run_pipeline",
-    "sanding_phase", "save_config", "simulate_sanding",
+    "GaParams", "ImpedanceSpec", "Path", "PipelineConfig", "PointCloud",
+    "QualityReport", "RbfNetwork", "ReferenceTrajectory", "RigidTransform",
+    "RobotModel", "RunReport", "SandingTask", "Trajectory", "load_config",
+    "lyapunov_monitor", "run_pipeline", "sanding_phase", "save_config",
+    "simulate_sanding",
 ]

@@ -9,7 +9,7 @@ form 0.5 z^T M z must not grow once the transient has died out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,8 +133,8 @@ def control_law(gains: ControllerGains, net: RbfNetwork, vel_err: np.ndarray,
 
 
 def weight_update(net: RbfNetwork, theta: np.ndarray, vel_err: np.ndarray,
-                  dt: float) -> RbfNetwork:
-    """Explicit Euler step of the row-wise adaptation law.
+                  dt: float) -> None:
+    """Explicit Euler step of the row-wise adaptation law, in place on net.weights.
 
     Row j moves against theta scaled by its own error component only, so
     adaptation stops exactly when the error vanishes.
@@ -142,8 +142,7 @@ def weight_update(net: RbfNetwork, theta: np.ndarray, vel_err: np.ndarray,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     vel_err = np.asarray(vel_err, dtype=float)
-    new_w = net.weights - dt * (net.learn_rates * theta[None, :]) * vel_err[:, None]
-    return replace(net, weights=new_w)
+    net.weights -= dt * (net.learn_rates * theta[None, :]) * vel_err[:, None]
 
 
 @dataclass

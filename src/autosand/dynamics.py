@@ -8,6 +8,9 @@ freedom and the task Jacobian is 3x4.
 The Coriolis matrix is assembled from Christoffel symbols of the closed-form
 mass matrix, which makes dM/dt - 2C exactly skew-symmetric; the convergence
 analysis of the adaptive controller leans on that identity.
+
+The state is a pair of plain arrays (q, qdot); ``step`` maps one pair to the
+next, and the caller keeps the simulated time.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ class SingularJacobian(Exception):
 
 
 class IntegrationDiverged(Exception):
-    """Joint velocities exceeded the runaway bound during integration."""
+    """Joint velocities became non-finite or exceeded the runaway bound."""
 
 
 class JointLimitViolation(Exception):
@@ -73,32 +76,6 @@ class RobotModel:
             raise ValueError("joint limits need min < max per joint")
         if (self.velocity_limits <= 0).any() or (self.acceleration_limits <= 0).any():
             raise ValueError("velocity/acceleration limits must be positive")
-
-    @property
-    def carriage_masses(self) -> np.ndarray:
-        """Masses of the two prismatic stages."""
-        return self.link_masses[:2]
-
-
-@dataclass
-class JointState:
-    q: np.ndarray
-    qdot: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.q = _arr(self.q).reshape(4)
-        self.qdot = _arr(self.qdot).reshape(4)
-
-
-@dataclass
-class TaskState:
-    x: np.ndarray
-    xdot: np.ndarray
-
-    def __post_init__(self):
-        self.x = _arr(self.x).reshape(3)
-        self.xdot = _arr(self.xdot).reshape(3)
 
 
 @dataclass
@@ -151,11 +128,6 @@ def jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return np.array([[1.0, 0.0, a, b],
                      [0.0, 1.0, c, d],
                      [0.0, 0.0, 1.0, 1.0]])
-
-
-def task_state(model: RobotModel, state: JointState) -> TaskState:
-    return TaskState(forward_kinematics(model, state.q),
-                     jacobian(model, state.q) @ state.qdot)
 
 
 def pseudo_inverse(jac: np.ndarray, damping: float = 0.0) -> np.ndarray:
@@ -236,64 +208,69 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     return mass, cor, grav
 
 
-def contact_force(contact: BeltContact, task: TaskState) -> np.ndarray:
-    """Normal contact force; identically zero out of contact, continuous at touch."""
-    depth = float(task.x @ contact.normal) - contact.plane_offset
+def contact_force(contact: BeltContact, x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
+    """Normal contact force at task pose x and rate xdot; identically zero out
+    of contact, continuous at touch."""
+    depth = float(x @ contact.normal) - contact.plane_offset
     if depth <= 0.0:
         return np.zeros(3)
-    rate = max(float(task.xdot @ contact.normal), 0.0)
+    rate = max(float(xdot @ contact.normal), 0.0)
     return -(contact.stiffness * depth + contact.damping * rate) * contact.normal
 
 
-def drag_force(contact: BeltContact, task: TaskState) -> np.ndarray:
-    """Constant-magnitude tangential abrasion force while in contact."""
-    depth = float(task.x @ contact.normal) - contact.plane_offset
+def drag_force(contact: BeltContact, x: np.ndarray) -> np.ndarray:
+    """Constant-magnitude tangential abrasion force while task pose x is in contact."""
+    depth = float(x @ contact.normal) - contact.plane_offset
     if depth <= 0.0 or contact.drag == 0.0:
         return np.zeros(3)
     return contact.drag * contact.tangent
 
 
-def step(model: RobotModel, state: JointState, u: np.ndarray,
+def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
          contact: BeltContact | None = None, dt: float = 1e-4,
-         external_torque: np.ndarray | None = None) -> JointState:
+         external_torque: np.ndarray | None = None, t: float = 0.0) -> tuple:
     """One semi-implicit Euler step of M qdd + C qd + g = u + J^T f_e.
 
-    Contact forces are evaluated at the current state.  ``external_torque``
-    injects an unmodelled joint-space disturbance (test plumbing).
+    Returns the new (q, qdot).  Contact forces are evaluated at the current
+    state.  ``external_torque`` injects an unmodelled joint-space disturbance
+    (test plumbing).  ``t`` is the simulated time at the start of the step;
+    it only names the moment of a failure in the error message.
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
-    mass, cor, grav = dynamics_terms(model, state.q, state.qdot)
-    tau = _arr(u) - cor @ state.qdot - grav
+    mass, cor, grav = dynamics_terms(model, q, qdot)
+    tau = _arr(u) - cor @ qdot - grav
     if contact is not None:
-        ts = task_state(model, state)
-        f = contact_force(contact, ts) + drag_force(contact, ts)
+        jac = jacobian(model, q)
+        x = forward_kinematics(model, q)
+        f = contact_force(contact, x, jac @ qdot) + drag_force(contact, x)
         if f.any():
-            tau = tau + jacobian(model, state.q).T @ f
+            tau = tau + jac.T @ f
     if external_torque is not None:
         tau = tau + _arr(external_torque)
-    qdot_new = state.qdot + dt * np.linalg.solve(mass, tau)
-    if np.linalg.norm(qdot_new) > QDOT_RUNAWAY:
+    qdot_new = qdot + dt * np.linalg.solve(mass, tau)
+    # written so that a NaN velocity fails the test too
+    if not np.linalg.norm(qdot_new) <= QDOT_RUNAWAY:
         raise IntegrationDiverged(
-            f"|qdot| = {np.linalg.norm(qdot_new):.3g} at t = {state.time:.4f}")
-    q_new = state.q + dt * qdot_new
+            f"|qdot| = {np.linalg.norm(qdot_new):.3g} at t = {t:.4f}")
+    q_new = q + dt * qdot_new
     low, high = model.joint_limits[:, 0], model.joint_limits[:, 1]
     if (q_new < low).any() or (q_new > high).any():
         bad = int(np.argmax((q_new < low) | (q_new > high)))
         raise JointLimitViolation(
             f"joint {bad} at {q_new[bad]:.4f} outside [{low[bad]}, {high[bad]}]"
-            f" at t = {state.time:.4f}")
-    return JointState(q_new, qdot_new, state.time + dt)
+            f" at t = {t:.4f}")
+    return q_new, qdot_new
 
 
-def mechanical_energy(model: RobotModel, state: JointState) -> float:
+def mechanical_energy(model: RobotModel, q: np.ndarray, qdot: np.ndarray) -> float:
     """Kinetic plus gravitational potential energy (potential zero at q2 = 0)."""
-    mass, _, _ = dynamics_terms(model, state.q, state.qdot)
+    mass, _, _ = dynamics_terms(model, q, qdot)
     m1, m2, m3, m4 = model.link_masses
     l1, l2 = model.link_lengths
-    s1 = math.sin(state.q[2])
-    s12 = math.sin(state.q[2] + state.q[3])
-    height = (m2 * state.q[1]
-              + m3 * (state.q[1] + 0.5 * l1 * s1)
-              + m4 * (state.q[1] + l1 * s1 + 0.5 * l2 * s12))
-    return 0.5 * state.qdot @ mass @ state.qdot + model.gravity * height
+    s1 = math.sin(q[2])
+    s12 = math.sin(q[2] + q[3])
+    height = (m2 * q[1]
+              + m3 * (q[1] + 0.5 * l1 * s1)
+              + m4 * (q[1] + l1 * s1 + 0.5 * l2 * s12))
+    return 0.5 * qdot @ mass @ qdot + model.gravity * height

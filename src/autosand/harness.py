@@ -7,6 +7,7 @@ with stable spawn keys, so two runs write byte-identical CSV logs.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -55,7 +56,8 @@ class SandingSetup:
 
     x_d and f_d are constant setpoints; supply ``trajectory`` instead for a
     time-varying reference (it then drives position, feedforward velocity and
-    desired force each control step).
+    desired force each control step).  The arm starts at rest in joint
+    configuration q0 at t = 0.
     """
 
     model: dyn.RobotModel
@@ -65,7 +67,7 @@ class SandingSetup:
     contact: dyn.BeltContact | None
     x_d: np.ndarray
     f_d: np.ndarray
-    start: dyn.JointState
+    q0: np.ndarray
     duration: float
     dt_control: float = 1e-3
     dt_physics: float = 1e-4
@@ -89,8 +91,6 @@ class SandingResult:
     max_zq_after_transient: float
     mean_zq_tail: float
     monitor: ctl.DescentReport
-    final_state: dyn.JointState
-    net: ctl.RbfNetwork
 
 
 def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
@@ -100,7 +100,7 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
     The controller runs at dt_control with zero-order hold; the plant
     integrates at dt_physics.  The measured force is the ideal normal contact
     force plus optional sensor noise; the tangential abrasion drag acts on the
-    plant only.
+    plant only.  The network adapts on a copy, so ``setup`` is left unchanged.
     """
     n_sub = round(setup.dt_control / setup.dt_physics)
     if abs(n_sub - setup.dt_control / setup.dt_physics) > 1e-9 or n_sub < 1:
@@ -108,8 +108,11 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
     n_ctrl = int(round(setup.duration / setup.dt_control))
     rng = np.random.default_rng(setup.noise_seed)
 
-    state = setup.start
-    net = setup.net
+    model = setup.model
+    q = np.array(setup.q0, dtype=float)
+    qdot = np.zeros(4)
+    t = 0.0
+    net = copy.deepcopy(setup.net)
     filt = imp.ForceFilterState.zero()
     qdr_prev = None
 
@@ -120,44 +123,47 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
     z_hist = np.zeros((n_ctrl, 3))
 
     for i in range(n_ctrl):
-        ts = dyn.task_state(setup.model, state)
+        x = dyn.forward_kinematics(model, q)
+        jac = dyn.jacobian(model, q)
+        xdot = jac @ qdot
         if setup.contact is not None:
-            f_meas = dyn.contact_force(setup.contact, ts)
+            f_meas = dyn.contact_force(setup.contact, x, xdot)
         else:
             f_meas = np.zeros(3)
         if setup.force_noise > 0.0:
             f_meas = f_meas + rng.standard_normal(3) * setup.force_noise
         if setup.trajectory is not None:
-            x_d, xd_dot, _, f_d = setup.trajectory.sample(state.time)
+            x_d, xd_dot, _, f_d = setup.trajectory.sample(t)
         else:
             x_d, xd_dot, f_d = setup.x_d, np.zeros(3), setup.f_d
-        dx = ts.x - x_d
+        dx = x - x_d
         filt = imp.filter_force_step(filt, f_meas - f_d, setup.spec,
                                      setup.dt_control)
-        jac = dyn.jacobian(setup.model, state.q)
         j_pinv = dyn.pseudo_inverse(jac, setup.pinv_damping)
         qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, filt, setup.spec)
         qddr = np.zeros(4) if qdr_prev is None else (qdr - qdr_prev) / setup.dt_control
         qdr_prev = qdr
-        zq = ctl.velocity_error(state.qdot, qdr)
-        theta = ctl.rbf_activation(net, state.q, state.qdot, qdr, qddr)
+        zq = ctl.velocity_error(qdot, qdr)
+        theta = ctl.rbf_activation(net, q, qdot, qdr, qddr)
         u = ctl.control_law(setup.gains, net, zq, theta, jac.T @ f_meas)
-        net = ctl.weight_update(net, theta, zq, setup.dt_control)
+        ctl.weight_update(net, theta, zq, setup.dt_control)
+        w_norm = np.linalg.norm(net.weights)
+        if not np.isfinite(w_norm):
+            raise dyn.IntegrationDiverged(f"RBF weights not finite at t = {t:.4f}")
 
-        mass, _, _ = dyn.dynamics_terms(setup.model, state.q, state.qdot)
+        mass, _, _ = dyn.dynamics_terms(model, q, qdot)
         v_obs = 0.5 * zq @ mass @ zq
         zq_hist[i] = zq
         m_hist[i] = mass
         f_hist[i] = f_meas
-        z_hist[i] = imp.impedance_error(dx, ts.xdot, setup.spec, filt)
-        log[i] = np.concatenate([
-            [state.time], state.q, state.qdot, ts.x, f_meas, zq, u,
-            [np.linalg.norm(net.weights), v_obs]])
+        z_hist[i] = imp.impedance_error(dx, xdot, setup.spec, filt)
+        log[i] = np.concatenate([[t], q, qdot, x, f_meas, zq, u, [w_norm, v_obs]])
 
-        tau_ext = setup.disturbance(state.time) if setup.disturbance else None
+        tau_ext = setup.disturbance(t) if setup.disturbance else None
         for _ in range(n_sub):
-            state = dyn.step(setup.model, state, u, setup.contact,
-                             setup.dt_physics, external_torque=tau_ext)
+            q, qdot = dyn.step(model, q, qdot, u, setup.contact, setup.dt_physics,
+                               external_torque=tau_ext, t=t)
+            t += setup.dt_physics
 
     times = log[:, 0]
     tail = times >= (1.0 - tail_fraction) * setup.duration
@@ -176,7 +182,7 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
         steady_force_error=steady_force - target,
         max_zq_after_transient=float(zq_norm[after].max() if after.any() else zq_norm.max()),
         mean_zq_tail=float(zq_norm[tail].mean()),
-        monitor=monitor, final_state=state, net=net)
+        monitor=monitor)
 
 
 def write_csv(path, columns, rows) -> None:
@@ -301,7 +307,7 @@ def sanding_phase(config: PipelineConfig, task: pln.SandingTask,
     setup = SandingSetup(
         model=config.robot, spec=config.impedance, gains=build_gains(config),
         net=build_network(config), contact=contact, x_d=x_d, f_d=f_d,
-        start=dyn.JointState(task.contact, np.zeros(4)),
+        q0=task.contact,
         duration=duration if duration is not None else config.sim.sanding_duration,
         dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
         force_noise=config.control.force_noise, noise_seed=noise_seed,
@@ -327,7 +333,7 @@ def nominal_setup(config: PipelineConfig, duration: float = 10.0,
         net=build_network(config), contact=contact,
         x_d=np.array([0.0515, x0[1], 0.0]),
         f_d=np.array([config.setpoint.force, 0.0, 0.0]),
-        start=dyn.JointState(q0, np.zeros(4)), duration=duration,
+        q0=q0, duration=duration,
         dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
         force_noise=config.control.force_noise if force_noise is None else force_noise,
         noise_seed=derive_seed(config.sim.seed, 31),

@@ -30,7 +30,7 @@ def free_space_setup(config, duration=6.0, robust_gain=None, disturbance=None):
     """
     setup = harness.nominal_setup(config, duration=duration, force_noise=0.0)
     setup.model = dyn.RobotModel(joint_limits=((-5.0, 5.0),) * 4)
-    x0 = dyn.forward_kinematics(setup.model, setup.start.q)
+    x0 = dyn.forward_kinematics(setup.model, setup.q0)
     setup.contact = None
     setup.x_d = x0 + np.array([-0.03, 0.02, 0.05])
     setup.f_d = np.zeros(3)
@@ -67,6 +67,22 @@ class TestReferenceTrace:
         setup = harness.nominal_setup(config, duration=1.0, force_noise=0.0)
         result = harness.simulate_sanding(setup)
         np.testing.assert_array_equal(result.log, expected)
+
+    def test_run_leaves_setup_unchanged(self, config):
+        """The network adapts on a copy, so one setup can be run twice."""
+        setup = harness.nominal_setup(config, duration=0.2, force_noise=0.0)
+        weights = setup.net.weights.copy()
+        first = harness.simulate_sanding(setup)
+        second = harness.simulate_sanding(setup)
+        np.testing.assert_array_equal(first.log, second.log)
+        np.testing.assert_array_equal(setup.net.weights, weights)
+        assert first.log[-1, -2] > 0.0
+
+    def test_non_finite_weight_stops_the_run(self, config):
+        setup = harness.nominal_setup(config, duration=0.2, force_noise=0.0)
+        setup.net.weights[2, 5] = np.nan
+        with pytest.raises(dyn.IntegrationDiverged, match="weights"):
+            harness.simulate_sanding(setup)
 
 
 class TestForceRegulation:

@@ -164,24 +164,28 @@ class TestControlLaw:
 class TestWeightUpdate:
     def test_no_error_no_update(self, rng):
         net = make_net()
+        net.weights[:] = rng.uniform(-1, 1, net.weights.shape)
+        before = net.weights.copy()
         theta = rng.uniform(0, 1, len(net.centers))
-        updated = ctl.weight_update(net, theta, np.zeros(4), 0.1)
-        assert updated.weights == pytest.approx(net.weights)
+        ctl.weight_update(net, theta, np.zeros(4), 0.1)
+        assert net.weights == pytest.approx(before)
 
     def test_single_step_value(self):
         net = ctl.RbfNetwork(centers=np.zeros((1, 16)), widths=1.0,
                              learn_rates=2.0)
-        updated = ctl.weight_update(net, np.array([0.5]),
-                                    np.array([1.0, 0, 0, 0]), 0.1)
-        assert updated.weights[0, 0] == pytest.approx(-0.1)
-        assert updated.weights[1:] == pytest.approx(np.zeros((3, 1)))
+        weights = net.weights
+        ctl.weight_update(net, np.array([0.5]), np.array([1.0, 0, 0, 0]), 0.1)
+        assert net.weights is weights
+        assert net.weights[0, 0] == pytest.approx(-0.1)
+        assert net.weights[1:] == pytest.approx(np.zeros((3, 1)))
 
     def test_row_decoupling(self, rng):
-        net = make_net()
-        theta = rng.uniform(0, 1, len(net.centers))
-        base = ctl.weight_update(net, theta, np.array([0.3, 0.0, 0.0, 0.0]), 0.1)
-        other = ctl.weight_update(net, theta, np.array([0.3, 5.0, -2.0, 1.0]), 0.1)
+        base, other = make_net(), make_net()
+        theta = rng.uniform(0, 1, len(base.centers))
+        ctl.weight_update(base, theta, np.array([0.3, 0.0, 0.0, 0.0]), 0.1)
+        ctl.weight_update(other, theta, np.array([0.3, 5.0, -2.0, 1.0]), 0.1)
         assert other.weights[0] == pytest.approx(base.weights[0])
+        assert other.weights[1] != pytest.approx(base.weights[1])
 
 
 class TestLyapunovMonitor:

@@ -1,6 +1,7 @@
 """Pipeline orchestration: configuration, determinism, quality gating, CLI."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -275,3 +276,17 @@ class TestCsvFormat:
         assert lines[0] == "a,b"
         assert lines[1] == "1,2.5"
         assert lines[2] == "3,1e-07"
+
+
+class TestScripts:
+    def test_sanding_convergence_variant(self, tmp_path):
+        """Runs one variant of the convergence script through its own entry point."""
+        path = Path(__file__).parents[1] / "scripts" / "sanding_convergence.py"
+        spec = importlib.util.spec_from_file_location("sanding_convergence", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        result = script.run_variant("nominal", PipelineConfig(), tmp_path, duration=0.2)
+        lines = (tmp_path / "nominal.csv").read_text().splitlines()
+        assert lines[0] == ",".join(harness.LOG_COLUMNS)
+        assert len(lines) == 1 + 200
+        assert result.monitor is not None
