@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,59 @@ from autosand import dynamics as dyn
 
 ANGLES = st.floats(-3.0, 3.0, allow_nan=False)
 COORDS = st.floats(-0.9, 0.9, allow_nan=False)
+REFERENCE = Path(__file__).parent / "data" / "dynamics_ref.npz"
+
+
+def dynamics_reference() -> dict:
+    """Outputs of the dynamics layer on fixed seeded inputs.
+
+    ``tests/data/dynamics_ref.npz`` holds these arrays as written by
+    ``np.savez(REFERENCE, **dynamics_reference())``:
+
+    - (M, C, g) at 64 states; every fourth state has a zero velocity, and
+      single velocity entries are zeroed or negative in others;
+    - a 2,000-step ``step`` trajectory that starts 1 mm short of the belt,
+      moves into contact and presses on it, with 2 N drag and a constant
+      external torque;
+    - undamped and damped pseudo-inverses of 16 Jacobians.
+    """
+    model = dyn.RobotModel()
+    rng = np.random.default_rng(5150)
+    q = np.column_stack([rng.uniform(-0.9, 0.9, (64, 2)), rng.uniform(-3, 3, (64, 2))])
+    qdot = rng.uniform(-2.0, 2.0, (64, 4))
+    qdot[::4] = 0.0
+    qdot[1::4, 2] = 0.0
+    qdot[2::4, 3] = -np.abs(qdot[2::4, 3])
+    terms = [dyn.dynamics_terms(model, a, b) for a, b in zip(q, qdot)]
+
+    contact = dyn.BeltContact(plane_offset=0.049, stiffness=1e4, damping=800.0,
+                              drag=2.0)
+    l1, l2 = model.link_lengths
+    th1 = 0.6
+    q0 = np.array([0.048 - l1 * math.cos(th1) - l2, -l1 * math.sin(th1), th1, -th1])
+    _, _, grav = dyn.dynamics_terms(model, q0, np.zeros(4))
+    u = grav + dyn.jacobian(model, q0).T @ np.array([30.0, 0.0, 0.0])
+    tau_ext = np.array([0.3, -0.2, 0.05, -0.02])
+    state, qdot_k = q0, np.array([0.02, 0.0, 0.0, 0.0])
+    trajectory = np.zeros((2000, 8))
+    for k in range(2000):
+        state, qdot_k = dyn.step(model, state, qdot_k, u, contact, 1e-4,
+                                 external_torque=tau_ext)
+        trajectory[k] = np.concatenate([state, qdot_k])
+
+    jac_q = rng.uniform(-3.0, 3.0, (16, 4))
+    jacs = np.array([dyn.jacobian(model, a) for a in jac_q])
+    return {
+        "q": q, "qdot": qdot,
+        "mass": np.array([t[0] for t in terms]),
+        "coriolis": np.array([t[1] for t in terms]),
+        "gravity": np.array([t[2] for t in terms]),
+        "step_q0": q0, "step_u": u, "step_tau_ext": tau_ext,
+        "step_trajectory": trajectory,
+        "jacobians": jacs,
+        "pinv": np.array([dyn.pseudo_inverse(j) for j in jacs]),
+        "pinv_damped": np.array([dyn.pseudo_inverse(j, 0.05) for j in jacs]),
+    }
 
 
 def transform_chain(model, q):
@@ -219,6 +273,21 @@ class TestStep:
                 worst = max(worst, abs(dyn.mechanical_energy(model, q, qdot) - e0))
         worst = max(worst, abs(dyn.mechanical_energy(model, q, qdot) - e0))
         assert worst / abs(e0) < 1e-3
+
+
+class TestReference:
+    def test_matches_stored_reference(self):
+        """Every output of the layer equals the stored reference bit for bit.
+
+        The closed-loop trace reaches the integrator only through the
+        controller; this pins dynamics_terms, step and pseudo_inverse
+        directly, exactly, because a rewrite of them must not move a bit.
+        """
+        expected = np.load(REFERENCE)
+        actual = dynamics_reference()
+        assert sorted(expected.files) == sorted(actual)
+        for name in expected.files:
+            assert np.array_equal(actual[name], expected[name]), name
 
 
 class TestRobotModel:
