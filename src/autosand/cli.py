@@ -121,11 +121,13 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     data = json.loads((Path(args.run) / "report.json").read_text())
     print(f"{'face':>4} {'seq':>3} {'force [N]':>10} {'|zq| max':>9} "
-          f"{'resands':>7} {'pass':>5}")
+          f"{'descent':>8} {'max rise':>9} {'settle [s]':>10} {'resands':>7} {'pass':>5}")
     for f in data["faces"]:
+        settle = "-" if f["settle_time"] is None else f"{f['settle_time']:.3f}"
         print(f"{f['face_id']:>4} {f['sequence_position']:>3} "
               f"{f['steady_force']:>10.3f} {f['max_zq_after_transient']:>9.2e} "
-              f"{f['resand_count']:>7} {str(f['passed']):>5}")
+              f"{'ok' if f['descent_passed'] else 'VIOLATED':>8} {f['max_rise']:>9.2e} "
+              f"{settle:>10} {f['resand_count']:>7} {str(f['passed']):>5}")
     print(f"travel cost {data['total_travel_cost']:.4f}, "
           f"wall {data['wall_time']:.1f} s, "
           f"{'PASS' if data['passed'] else 'FAIL'}")

@@ -186,7 +186,7 @@ def lyapunov_monitor(times, vel_errors, mass_matrices, window: float = 0.5,
     running_min = np.minimum.accumulate(after)
     rises = after - running_min
     max_rise = float(rises.max())
-    passed = max_rise <= tol
+    passed = bool(max_rise <= tol)
 
     norms = np.linalg.norm(zq, axis=1)
     below = norms < settle_threshold

@@ -9,6 +9,14 @@ The Coriolis matrix is assembled from Christoffel symbols of the closed-form
 mass matrix, which makes dM/dt - 2C exactly skew-symmetric; the convergence
 analysis of the adaptive controller leans on that identity.
 
+``step`` runs ten times per control tick, so ``dynamics_terms`` builds M and
+C entry by entry from scalars, with the operations of the matrix form they
+replace, and keeps the products D3 qd, D4 qd and C qd as numpy matvecs,
+whose summation order scalar code would not reproduce; the acceleration is
+solved with LAPACK ``dgesv``, the routine ``np.linalg.solve`` calls.  The
+results are bit-identical to the matrix form, which
+``tests/data/dynamics_ref.npz`` pins.
+
 The state is a pair of plain arrays (q, qdot); ``step`` maps one pair to the
 next, and the caller keeps the simulated time.
 """
@@ -19,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 QDOT_RUNAWAY = 1e3
 MAX_STEP = 1e-2
@@ -131,11 +140,16 @@ def jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
 
 
 def pseudo_inverse(jac: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """Right pseudo-inverse J^T (J J^T + damping^2 I)^-1 of a wide Jacobian."""
+    """Right pseudo-inverse J^T (J J^T + damping^2 I)^-1 of a wide Jacobian.
+
+    Undamped, a J J^T whose eigenvalue ratio (its condition number, as it is
+    symmetric) exceeds 1e12 raises SingularJacobian.
+    """
     jac = _arr(jac)
     jjt = jac @ jac.T
     if damping == 0.0:
-        if np.linalg.cond(jjt) > 1e12:
+        eig = np.linalg.eigvalsh(jjt)
+        if eig[0] <= 0.0 or eig[-1] > 1e12 * eig[0]:
             raise SingularJacobian("Jacobian is rank deficient and damping is zero")
     else:
         jjt = jjt + damping ** 2 * np.eye(jjt.shape[0])
@@ -146,23 +160,28 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     """Mass matrix, Coriolis matrix and gravity vector at (q, qdot).
 
     Returns (M, C, g) with M symmetric positive definite and C built from
-    Christoffel symbols so dM/dt - 2C is skew-symmetric.
+    Christoffel symbols so dM/dt - 2C is skew-symmetric.  With D3 and D4 the
+    partial derivatives of M with respect to th1 = q[2] and th2 = q[3],
+    C = (A + B - B^T) / 2, where A = D3 qdot[2] + D4 qdot[3] and B is zero
+    but for its columns 2 and 3, D3 qdot and D4 qdot.
     """
-    m1, m2, m3, m4 = model.link_masses
-    l1, l2 = model.link_lengths
+    m1, m2, m3, m4 = model.link_masses.tolist()
+    l1, l2 = model.link_lengths.tolist()
+    r1, r2, r3, r4 = model.rotor_inertias.tolist()
     i3 = m3 * l1 * l1 / 12.0
     i4 = m4 * l2 * l2 / 12.0
     alpha = (0.5 * m3 + m4) * l1
     beta = 0.5 * m4 * l2
     gam = 0.5 * m4 * l1 * l2
 
-    th1 = q[2]
-    th2 = q[3]
+    th1 = float(q[2])
+    th2 = float(q[3])
     phi = th1 + th2
     s1, c1 = math.sin(th1), math.cos(th1)
     s12, c12 = math.sin(phi), math.cos(phi)
     s2, c2 = math.sin(th2), math.cos(th2)
 
+    m234 = m2 + m3 + m4
     m13 = -alpha * s1 - beta * s12
     m14 = -beta * s12
     m23 = alpha * c1 + beta * c12
@@ -170,41 +189,55 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     m33 = (0.25 * m3 + m4) * l1 * l1 + i3 + 0.25 * m4 * l2 * l2 + i4 + 2.0 * gam * c2
     m34 = 0.25 * m4 * l2 * l2 + i4 + gam * c2
     m44 = 0.25 * m4 * l2 * l2 + i4
-
     mass = np.array([
-        [m1 + m2 + m3 + m4, 0.0, m13, m14],
-        [0.0, m2 + m3 + m4, m23, m24],
-        [m13, m23, m33, m34],
-        [m14, m24, m34, m44],
+        [m1 + m2 + m3 + m4 + r1, 0.0, m13, m14],
+        [0.0, m234 + r2, m23, m24],
+        [m13, m23, m33 + r3, m34],
+        [m14, m24, m34, m44 + r4],
     ])
-    mass[np.diag_indices_from(mass)] += model.rotor_inertias
 
-    # partial derivatives of M wrt th1 and th2 (the carriage coordinates
-    # never appear in M)
-    d3 = np.zeros((4, 4))
-    d3[0, 2] = d3[2, 0] = -alpha * c1 - beta * c12
-    d3[0, 3] = d3[3, 0] = -beta * c12
-    d3[1, 2] = d3[2, 1] = -alpha * s1 - beta * s12
-    d3[1, 3] = d3[3, 1] = -beta * s12
+    # the carriage coordinates never appear in M; m13 and m14 recur here as
+    # the derivatives of m23 and m24
+    dm13 = -alpha * c1 - beta * c12
+    dm14 = -beta * c12
+    dm33 = -2.0 * gam * s2
+    dm34 = -gam * s2
+    d3 = np.array([
+        [0.0, 0.0, dm13, dm14],
+        [0.0, 0.0, m13, m14],
+        [dm13, m13, 0.0, 0.0],
+        [dm14, m14, 0.0, 0.0],
+    ])
+    d4 = np.array([
+        [0.0, 0.0, dm14, dm14],
+        [0.0, 0.0, m14, m14],
+        [dm14, m14, dm33, dm34],
+        [dm14, m14, dm34, 0.0],
+    ])
 
-    d4 = np.zeros((4, 4))
-    d4[0, 2] = d4[2, 0] = -beta * c12
-    d4[0, 3] = d4[3, 0] = -beta * c12
-    d4[1, 2] = d4[2, 1] = -beta * s12
-    d4[1, 3] = d4[3, 1] = -beta * s12
-    d4[2, 2] = -2.0 * gam * s2
-    d4[2, 3] = d4[3, 2] = -gam * s2
+    # A is symmetric; B's columns stay numpy matvecs, whose summation order
+    # scalar code would not reproduce.  The 0.0 terms repeat the zero
+    # entries of the matrix form, so even the signs of zeros match it.
+    dth1, dth2 = float(qdot[2]), float(qdot[3])
+    a02 = dm13 * dth1 + dm14 * dth2
+    a03 = dm14 * dth1 + dm14 * dth2
+    a12 = m13 * dth1 + m14 * dth2
+    a13 = m14 * dth1 + m14 * dth2
+    a22 = 0.0 * dth1 + dm33 * dth2
+    a23 = 0.0 * dth1 + dm34 * dth2
+    b3 = (d3 @ qdot).tolist()
+    b4 = (d4 @ qdot).tolist()
+    cor = np.array([
+        [0.0, 0.0, 0.5 * (a02 + b3[0]), 0.5 * (a03 + b4[0])],
+        [0.0, 0.0, 0.5 * (a12 + b3[1]), 0.5 * (a13 + b4[1])],
+        [0.5 * (a02 + 0.0 - b3[0]), 0.5 * (a12 + 0.0 - b3[1]),
+         0.5 * (a22 + b3[2] - b3[2]), 0.5 * (a23 + b4[2] - b3[3])],
+        [0.5 * (a03 + 0.0 - b4[0]), 0.5 * (a13 + 0.0 - b4[1]),
+         0.5 * (a23 + b3[3] - b4[2]), 0.0],
+    ])
 
-    qd = _arr(qdot)
-    a_mat = d3 * qd[2] + d4 * qd[3]
-    b_mat = np.zeros((4, 4))
-    b_mat[:, 2] = d3 @ qd
-    b_mat[:, 3] = d4 @ qd
-    cor = 0.5 * (a_mat + b_mat - b_mat.T)
-
-    grav = model.gravity * np.array([0.0, m2 + m3 + m4,
-                                     alpha * c1 + beta * c12,
-                                     beta * c12])
+    g = model.gravity
+    grav = np.array([g * 0.0, g * m234, g * m23, g * m24])
     return mass, cor, grav
 
 
@@ -239,7 +272,7 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
     mass, cor, grav = dynamics_terms(model, q, qdot)
-    tau = _arr(u) - cor @ qdot - grav
+    tau = u - cor @ qdot - grav
     if contact is not None:
         jac = jacobian(model, q)
         x = forward_kinematics(model, q)
@@ -247,12 +280,15 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
         if f.any():
             tau = tau + jac.T @ f
     if external_torque is not None:
-        tau = tau + _arr(external_torque)
-    qdot_new = qdot + dt * np.linalg.solve(mass, tau)
+        tau = tau + external_torque
+    _, _, qddot, info = dgesv(mass, tau)
+    if info:
+        raise np.linalg.LinAlgError(f"singular mass matrix at t = {t:.4f}")
+    qdot_new = qdot + dt * qddot
     # written so that a NaN velocity fails the test too
-    if not np.linalg.norm(qdot_new) <= QDOT_RUNAWAY:
-        raise IntegrationDiverged(
-            f"|qdot| = {np.linalg.norm(qdot_new):.3g} at t = {t:.4f}")
+    speed = math.sqrt(qdot_new @ qdot_new)
+    if not speed <= QDOT_RUNAWAY:
+        raise IntegrationDiverged(f"|qdot| = {speed:.3g} at t = {t:.4f}")
     q_new = q + dt * qdot_new
     low, high = model.joint_limits[:, 0], model.joint_limits[:, 1]
     if (q_new < low).any() or (q_new > high).any():

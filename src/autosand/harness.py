@@ -400,6 +400,9 @@ class FaceReport:
     steady_force: float
     steady_force_error: float
     max_zq_after_transient: float
+    descent_passed: bool            # the run's descent monitor (lyapunov_monitor)
+    max_rise: float
+    settle_time: float | None       # None: |zq| never settled for good
     quality: pc.QualityReport | None
     resand_count: int
     passed: bool
@@ -608,6 +611,9 @@ def _run_stages(config: PipelineConfig, out, report: RunReport) -> None:
             steady_force=result.steady_force,
             steady_force_error=result.steady_force_error,
             max_zq_after_transient=result.max_zq_after_transient,
+            descent_passed=result.monitor.passed,
+            max_rise=result.monitor.max_rise,
+            settle_time=result.monitor.settle_time,
             quality=quality, resand_count=attempt, passed=passed)
         if not passed and attempt < config.pipeline.max_resand:
             attempts[k] += 1

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgesv
 
 from autosand import dynamics as dyn
 
@@ -122,6 +123,14 @@ class TestJacobian:
             assert np.abs(dyn.jacobian(model, q) - jac_fd).max() < 1e-6
 
 
+def conditioned_jacobian(cond, seed=3):
+    """A 3x4 Jacobian whose J J^T has condition number ``cond``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+    return u @ np.diag([1.0, 0.7, cond ** -0.5]) @ v.T
+
+
 class TestPseudoInverse:
     def test_orthonormal_rows(self):
         jac = np.hstack([np.eye(3), np.zeros((3, 1))])
@@ -145,6 +154,23 @@ class TestPseudoInverse:
         jac = np.zeros((3, 4))
         pinv = dyn.pseudo_inverse(jac, damping=1e-3)
         assert np.isfinite(pinv).all()
+        for cond in (1e10, 1e14, 1e20):
+            pinv = dyn.pseudo_inverse(conditioned_jacobian(cond), damping=1e-3)
+            assert np.isfinite(pinv).all()
+
+    @pytest.mark.parametrize("cond, singular", [
+        (1e8, False), (1e10, False), (1e11, False),
+        (1e13, True), (1e14, True)])
+    def test_rank_test_threshold(self, cond, singular):
+        """The rank test trips where cond(J J^T) passes 1e12."""
+        jac = conditioned_jacobian(cond)
+        assert np.linalg.cond(jac @ jac.T) == pytest.approx(cond, rel=1e-2)
+        if singular:
+            with pytest.raises(dyn.SingularJacobian):
+                dyn.pseudo_inverse(jac)
+        else:
+            pinv = dyn.pseudo_inverse(jac)
+            assert np.abs(jac @ pinv - np.eye(3)).max() < 1e-4
 
 
 class TestDynamicsTerms:
@@ -254,6 +280,35 @@ class TestStep:
         u = np.array([np.nan, 0.0, 0.0, 0.0])
         with pytest.raises(dyn.IntegrationDiverged, match="at t = 0.2500"):
             dyn.step(model, np.zeros(4), np.zeros(4), u, None, 1e-4, t=0.25)
+
+    def test_lapack_solve_matches_numpy(self):
+        """step solves with LAPACK dgesv directly; numpy's solve calls the
+        same routine, so on SPD 4x4 systems like M the two agree bit for
+        bit.  A numpy or scipy build whose LAPACK differs fails here before
+        it can move a stored trace."""
+        rng = np.random.default_rng(77)
+        for _ in range(1000):
+            a = rng.standard_normal((4, 4))
+            mass = a @ a.T + rng.uniform(0.01, 5.0) * np.eye(4)
+            tau = rng.standard_normal(4) * 10.0 ** rng.integers(-3, 4)
+            _, _, x, info = dgesv(mass, tau)
+            assert info == 0
+            assert np.array_equal(x, np.linalg.solve(mass, tau))
+
+    def test_singular_mass_raises(self, model, monkeypatch):
+        zero = np.zeros(4)
+        monkeypatch.setattr(dyn, "dynamics_terms",
+                            lambda *_: (np.zeros((4, 4)), np.zeros((4, 4)), zero))
+        with pytest.raises(np.linalg.LinAlgError, match="at t = 0.5000"):
+            dyn.step(model, zero, zero, zero, None, 1e-4, t=0.5)
+
+    def test_list_inputs(self, model):
+        q, qdot, u = [0.1, -0.1, 0.4, -0.8], [0.01, 0.0, -0.2, 0.1], [1.0, 20.0, 3.0, 0.5]
+        contact = dyn.BeltContact(plane_offset=0.0, drag=2.0)
+        expected = dyn.step(model, np.array(q), np.array(qdot), np.array(u), contact,
+                            1e-4, np.array(u))
+        for got, want in zip(dyn.step(model, q, qdot, u, contact, 1e-4, u), expected):
+            assert np.array_equal(got, want)
 
     def test_joint_limit_reported(self, model):
         q, qdot = np.array([0.99, 0, 0, 0]), np.array([0.5, 0, 0, 0])

@@ -3,6 +3,10 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +124,38 @@ class TestPipelineDeterminism:
         harness.run_pipeline(small_config(), tmp_path / "a")
         harness.run_pipeline(small_config(**{"sim.seed": 99}), tmp_path / "b")
         assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "b")
+
+
+class TestRunReport:
+    def test_faces_carry_descent_monitor(self, small_run, tmp_path):
+        """Each face in report.json keeps the descent verdict, max rise and
+        settle time of its last sanding run."""
+        faces = json.loads((small_run["out"] / "report.json").read_text())["faces"]
+        cfg = small_config()
+        cell = harness.build_workcell(cfg)
+        face = faces[0]
+        task = cell.tasks[cell.face_ids.index(face["face_id"])]
+        monitor = harness._sand_face(cfg, cell, task, face["resand_count"],
+                                     tmp_path).monitor
+        assert face["descent_passed"] is monitor.passed
+        assert face["max_rise"] == monitor.max_rise
+        assert face["settle_time"] == monitor.settle_time
+        for f in faces:
+            assert isinstance(f["descent_passed"], bool)
+            assert f["max_rise"] >= 0.0
+            assert f["settle_time"] is None or 0.0 <= f["settle_time"] <= f["duration"]
+
+    def test_report_prints_descent_columns(self, small_run, capsys):
+        faces = json.loads((small_run["out"] / "report.json").read_text())["faces"]
+        assert cli.main(["report", "--run", str(small_run["out"])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "descent" in lines[0] and "settle [s]" in lines[0]
+        for f, line in zip(faces, lines[1:]):
+            cells = line.split()
+            assert cells[4] == ("ok" if f["descent_passed"] else "VIOLATED")
+            assert float(cells[5]) == pytest.approx(f["max_rise"], rel=1e-2)
+            assert cells[6] == ("-" if f["settle_time"] is None
+                                else f"{f['settle_time']:.3f}")
 
 
 class TestQualityGate:
@@ -266,6 +302,58 @@ class TestCli:
         path = tmp_path / "default.ini"
         assert cli.main(["write-config", str(path)]) == 0
         assert load_config(path).object.sides == 13
+
+
+IMPORT_CHECK = textwrap.dedent("""
+    import json, sys, sysconfig
+    from pathlib import Path
+
+    # _sysconfigdata_* is the standard library's build-time data module
+    ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "autosand"}
+
+    class Refuse:
+        # makes every other top-level package unfindable; numpy's and scipy's
+        # optional imports then fall back as they would without it
+        def find_spec(self, name, path=None, target=None):
+            top = name.partition(".")[0]
+            if top not in ALLOWED and not top.startswith("_sysconfigdata_"):
+                raise ModuleNotFoundError(name, name=name)
+
+    before = set(sys.modules)
+    sys.meta_path.insert(0, Refuse())
+    import autosand.cli
+    import numpy, scipy
+
+    paths = sysconfig.get_paths()
+    stdlib = Path(paths["stdlib"]).resolve()
+    site = [Path(paths[k]).resolve() for k in ("purelib", "platlib")]
+    homes = [Path(m.__file__).resolve().parent for m in (numpy, scipy, autosand)]
+
+    def allowed(path):
+        if any(path.is_relative_to(home) for home in homes):
+            return True
+        return path.is_relative_to(stdlib) and not any(path.is_relative_to(p) for p in site)
+
+    # file-less modules are built in or registered by Cython's runtime
+    files = {name: getattr(sys.modules[name], "__file__", None)
+             for name in set(sys.modules) - before}
+    print(json.dumps(sorted(name for name, f in files.items()
+                            if f and not allowed(Path(f).resolve()))))
+""")
+
+
+class TestRuntimeDependencies:
+    def test_cli_imports_only_numpy_and_scipy(self):
+        """`import autosand.cli` succeeds with every top-level package other
+        than numpy, scipy, autosand and the standard library unfindable, and
+        every module it loads comes from one of those."""
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 class TestCsvFormat:
