@@ -47,6 +47,11 @@ def _exit_code(failure: type, in_stage: bool) -> int:
     return EXIT_INPUT
 
 
+def _descent(passed: bool | None) -> str:
+    """Descent verdict; ``-`` when the run was shorter than the monitor's window."""
+    return "-" if passed is None else "ok" if passed else "VIOLATED"
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as bad input: one ``error:`` line, exit code 1."""
 
@@ -105,7 +110,7 @@ def cmd_sand(args) -> int:
     print(f"steady force {result.steady_force:.3f} N "
           f"(error {result.steady_force_error:+.3f} N), "
           f"tail |zq| {result.mean_zq_tail:.2e}, "
-          f"descent {'ok' if result.monitor.passed else 'VIOLATED'}")
+          f"descent {_descent(result.monitor.passed)}")
     return EXIT_OK
 
 
@@ -124,9 +129,10 @@ def cmd_report(args) -> int:
           f"{'descent':>8} {'max rise':>9} {'settle [s]':>10} {'resands':>7} {'pass':>5}")
     for f in data["faces"]:
         settle = "-" if f["settle_time"] is None else f"{f['settle_time']:.3f}"
+        rise = "-" if f["max_rise"] is None else f"{f['max_rise']:.2e}"
         print(f"{f['face_id']:>4} {f['sequence_position']:>3} "
               f"{f['steady_force']:>10.3f} {f['max_zq_after_transient']:>9.2e} "
-              f"{'ok' if f['descent_passed'] else 'VIOLATED':>8} {f['max_rise']:>9.2e} "
+              f"{_descent(f['descent_passed']):>8} {rise:>9} "
               f"{settle:>10} {f['resand_count']:>7} {str(f['passed']):>5}")
     print(f"travel cost {data['total_travel_cost']:.4f}, "
           f"wall {data['wall_time']:.1f} s, "

@@ -147,9 +147,9 @@ def weight_update(net: RbfNetwork, theta: np.ndarray, vel_err: np.ndarray,
 
 @dataclass
 class DescentReport:
-    passed: bool
+    passed: bool | None             # None: the run is shorter than the window
     settle_time: float | None
-    max_rise: float
+    max_rise: float | None
     v_obs: np.ndarray
     smoothed: np.ndarray
 
@@ -163,7 +163,9 @@ def lyapunov_monitor(times, vel_errors, mass_matrices, window: float = 0.5,
     the given window, and requires the smoothed curve never to climb more than
     rise_tol times its post-transient peak above its running minimum.  The
     weight-error part of the full storage function is unobservable (the ideal
-    weights are unknown), so only this necessary consequence is tested.
+    weights are unknown), so only this necessary consequence is tested.  A
+    run shorter than the window is not evaluated: ``passed`` and
+    ``max_rise`` are None.
     Also reports the first time |z| settles below settle_threshold for good.
     """
     times = np.asarray(times, dtype=float)
@@ -173,8 +175,20 @@ def lyapunov_monitor(times, vel_errors, mass_matrices, window: float = 0.5,
     mm = np.asarray(mass_matrices, dtype=float)
     v_obs = 0.5 * np.einsum("ti,tij,tj->t", zq, mm, zq)
 
+    norms = np.linalg.norm(zq, axis=1)
+    below = norms < settle_threshold
+    settle_time = None
+    if below[-1]:
+        idx = len(below) - 1
+        while idx > 0 and below[idx - 1]:
+            idx -= 1
+        settle_time = float(times[idx])
+
     dt = float(np.median(np.diff(times)))
     win = max(1, int(round(window / dt)))
+    if len(v_obs) < win:
+        # np.convolve's "valid" mode would swap the run and the kernel
+        return DescentReport(None, settle_time, None, v_obs, np.empty(0))
     kernel = np.ones(win) / win
     smoothed = np.convolve(v_obs, kernel, mode="valid")
     t_smooth = times[win - 1:]
@@ -187,13 +201,4 @@ def lyapunov_monitor(times, vel_errors, mass_matrices, window: float = 0.5,
     rises = after - running_min
     max_rise = float(rises.max())
     passed = bool(max_rise <= tol)
-
-    norms = np.linalg.norm(zq, axis=1)
-    below = norms < settle_threshold
-    settle_time = None
-    if below[-1]:
-        idx = len(below) - 1
-        while idx > 0 and below[idx - 1]:
-            idx -= 1
-        settle_time = float(times[idx])
     return DescentReport(passed, settle_time, max_rise, v_obs, smoothed)

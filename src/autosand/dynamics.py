@@ -11,11 +11,14 @@ analysis of the adaptive controller leans on that identity.
 
 ``step`` runs ten times per control tick, so ``dynamics_terms`` builds M and
 C entry by entry from scalars, with the operations of the matrix form they
-replace, and keeps the products D3 qd, D4 qd and C qd as numpy matvecs,
-whose summation order scalar code would not reproduce; the acceleration is
-solved with LAPACK ``dgesv``, the routine ``np.linalg.solve`` calls.  The
-results are bit-identical to the matrix form, which
-``tests/data/dynamics_ref.npz`` pins.
+replace, and ``step`` does its kinematics, forces and joint-limit test on
+Python floats.  Dot products and matvecs stay numpy calls, whose summation
+order scalar code would not reproduce, and the acceleration is solved with
+LAPACK ``dgesv``, which ``np.linalg.solve`` calls.  The results are
+bit-identical to the matrix form, which ``tests/data/dynamics_ref.npz`` pins.
+``pseudo_inverse`` keeps ``np.linalg.solve``: ``dgesv`` gives the same
+values in Fortran order, and the controller's ``J+ v`` matvec then sums in
+another order, which moves the stored nominal trace.
 
 The state is a pair of plain arrays (q, qdot); ``step`` maps one pair to the
 next, and the caller keeps the simulated time.
@@ -202,20 +205,19 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     dm14 = -beta * c12
     dm33 = -2.0 * gam * s2
     dm34 = -gam * s2
-    d3 = np.array([
+    # D3 over D4: one 8x4 matvec equals two 4x4 ones bit for bit
+    d34 = np.array([
         [0.0, 0.0, dm13, dm14],
         [0.0, 0.0, m13, m14],
         [dm13, m13, 0.0, 0.0],
         [dm14, m14, 0.0, 0.0],
-    ])
-    d4 = np.array([
         [0.0, 0.0, dm14, dm14],
         [0.0, 0.0, m14, m14],
         [dm14, m14, dm33, dm34],
         [dm14, m14, dm34, 0.0],
     ])
 
-    # A is symmetric; B's columns stay numpy matvecs, whose summation order
+    # A is symmetric; B's columns stay a numpy matvec, whose summation order
     # scalar code would not reproduce.  The 0.0 terms repeat the zero
     # entries of the matrix form, so even the signs of zeros match it.
     dth1, dth2 = float(qdot[2]), float(qdot[3])
@@ -225,8 +227,8 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     a13 = m14 * dth1 + m14 * dth2
     a22 = 0.0 * dth1 + dm33 * dth2
     a23 = 0.0 * dth1 + dm34 * dth2
-    b3 = (d3 @ qdot).tolist()
-    b4 = (d4 @ qdot).tolist()
+    b34 = (d34 @ qdot).tolist()
+    b3, b4 = b34[:4], b34[4:]
     cor = np.array([
         [0.0, 0.0, 0.5 * (a02 + b3[0]), 0.5 * (a03 + b4[0])],
         [0.0, 0.0, 0.5 * (a12 + b3[1]), 0.5 * (a13 + b4[1])],
@@ -251,14 +253,6 @@ def contact_force(contact: BeltContact, x: np.ndarray, xdot: np.ndarray) -> np.n
     return -(contact.stiffness * depth + contact.damping * rate) * contact.normal
 
 
-def drag_force(contact: BeltContact, x: np.ndarray) -> np.ndarray:
-    """Constant-magnitude tangential abrasion force while task pose x is in contact."""
-    depth = float(x @ contact.normal) - contact.plane_offset
-    if depth <= 0.0 or contact.drag == 0.0:
-        return np.zeros(3)
-    return contact.drag * contact.tangent
-
-
 def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
          contact: BeltContact | None = None, dt: float = 1e-4,
          external_torque: np.ndarray | None = None, t: float = 0.0) -> tuple:
@@ -274,11 +268,26 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
     mass, cor, grav = dynamics_terms(model, q, qdot)
     tau = u - cor @ qdot - grav
     if contact is not None:
-        jac = jacobian(model, q)
-        x = forward_kinematics(model, q)
-        f = contact_force(contact, x, jac @ qdot) + drag_force(contact, x)
-        if f.any():
-            tau = tau + jac.T @ f
+        # forward_kinematics, jacobian and contact_force inlined, plus the drag
+        q0, q1, th1, th2 = np.asarray(q).tolist()
+        l1, l2 = model.link_lengths.tolist()
+        phi = th1 + th2
+        s1, c1 = math.sin(th1), math.cos(th1)
+        s12, c12 = math.sin(phi), math.cos(phi)
+        x = np.array([q0 + l1 * c1 + l2 * c12, q1 + l1 * s1 + l2 * s12, phi])
+        depth = float(x @ contact.normal) - contact.plane_offset
+        # a NaN depth applies its NaN force, for the runaway test to catch
+        if not depth <= 0.0:
+            jac = np.array([[1.0, 0.0, -l1 * s1 - l2 * s12, -l2 * s12],
+                            [0.0, 1.0, l1 * c1 + l2 * c12, l2 * c12],
+                            [0.0, 0.0, 1.0, 1.0]])
+            rate = max(float((jac @ qdot) @ contact.normal), 0.0)
+            push = -(contact.stiffness * depth + contact.damping * rate)
+            drag = [0.0] * 3 if contact.drag == 0.0 else \
+                [contact.drag * v for v in contact.tangent.tolist()]
+            f = [push * n + d for n, d in zip(contact.normal.tolist(), drag)]
+            if f[0] or f[1] or f[2]:
+                tau = tau + jac.T @ np.array(f)
     if external_torque is not None:
         tau = tau + external_torque
     _, _, qddot, info = dgesv(mass, tau)
@@ -290,12 +299,11 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
     if not speed <= QDOT_RUNAWAY:
         raise IntegrationDiverged(f"|qdot| = {speed:.3g} at t = {t:.4f}")
     q_new = q + dt * qdot_new
-    low, high = model.joint_limits[:, 0], model.joint_limits[:, 1]
-    if (q_new < low).any() or (q_new > high).any():
-        bad = int(np.argmax((q_new < low) | (q_new > high)))
-        raise JointLimitViolation(
-            f"joint {bad} at {q_new[bad]:.4f} outside [{low[bad]}, {high[bad]}]"
-            f" at t = {t:.4f}")
+    for j, (v, (low, high)) in enumerate(zip(q_new.tolist(),
+                                             model.joint_limits.tolist())):
+        if v < low or v > high:
+            raise JointLimitViolation(
+                f"joint {j} at {v:.4f} outside [{low}, {high}] at t = {t:.4f}")
     return q_new, qdot_new
 
 

@@ -189,8 +189,7 @@ def write_csv(path, columns, rows) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+        pc.write_rows(fh, [rows], "%.10g", ",")
 
 
 # --- workcell geometry -----------------------------------------------------------
@@ -369,7 +368,7 @@ def scan_view(config: PipelineConfig, mesh: ConvexShape, roughness,
                                scan_params(config, 0.0, sensor_seed + 1))
     pts = np.vstack([cloud.points, holder.points])
     inten = np.concatenate([cloud.intensity, holder.intensity])
-    return pc.PointCloud(pts, inten, frame_id=f"view@{angle:.3f}")
+    return pc.PointCloud(pts, inten)
 
 
 def crop_to_face(cloud: pc.PointCloud, pose: RigidTransform, mesh: ConvexShape,
@@ -400,8 +399,8 @@ class FaceReport:
     steady_force: float
     steady_force_error: float
     max_zq_after_transient: float
-    descent_passed: bool            # the run's descent monitor (lyapunov_monitor)
-    max_rise: float
+    descent_passed: bool | None     # the run's descent monitor (lyapunov_monitor);
+    max_rise: float | None          # None: the run is shorter than its window
     settle_time: float | None       # None: |zq| never settled for good
     quality: pc.QualityReport | None
     resand_count: int

@@ -38,7 +38,6 @@ class MissingIntensity(Exception):
 class PointCloud:
     points: np.ndarray
     intensity: np.ndarray | None = None
-    frame_id: str = ""
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -54,10 +53,10 @@ class PointCloud:
 
     def select(self, mask) -> "PointCloud":
         inten = None if self.intensity is None else self.intensity[mask]
-        return PointCloud(self.points[mask], inten, self.frame_id)
+        return PointCloud(self.points[mask], inten)
 
     def transformed(self, tf: RigidTransform) -> "PointCloud":
-        return PointCloud(tf.apply(self.points), self.intensity, self.frame_id)
+        return PointCloud(tf.apply(self.points), self.intensity)
 
 
 @dataclass
@@ -265,7 +264,7 @@ def merge_scans(scans, commanded_angles, icp_params: IcpParams | None = None,
         inten = np.concatenate([s.intensity for s in scans])
     else:
         inten = None
-    merged = PointCloud(pts, inten, scans[0].frame_id)
+    merged = PointCloud(pts, inten)
     return sor_filter(merged, k=sor_k, alpha=sor_alpha)
 
 
@@ -330,6 +329,15 @@ def assess_quality(before: PointCloud, after: PointCloud,
 
 # --- file formats ------------------------------------------------------------
 
+def write_rows(fh, columns, spec: str, sep: str) -> None:
+    """Write equal-length arrays side by side as lines of ``spec % value``,
+    256 rows per %-call: the same text as formatting value by value."""
+    for start in range(0, len(columns[0]), 256):
+        block = np.column_stack([c[start:start + 256] for c in columns])
+        line = sep.join([spec] * block.shape[1]) + "\n"
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def save_ply(cloud: PointCloud, path) -> None:
     """ASCII PLY with x, y, z and optional intensity, 9 significant digits."""
     with open(path, "w") as fh:
@@ -339,11 +347,8 @@ def save_ply(cloud: PointCloud, path) -> None:
         if cloud.intensity is not None:
             fh.write("property float intensity\n")
         fh.write("end_header\n")
-        for i, p in enumerate(cloud.points):
-            row = f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}"
-            if cloud.intensity is not None:
-                row += f" {cloud.intensity[i]:.9g}"
-            fh.write(row + "\n")
+        extra = [] if cloud.intensity is None else [cloud.intensity]
+        write_rows(fh, [cloud.points] + extra, "%.9g", " ")
 
 
 def load_ply(path) -> PointCloud:

@@ -168,6 +168,14 @@ class TestLyapunovDescent:
     def test_monitor_passes_on_nominal_run(self, nominal_run):
         assert nominal_run.monitor.passed
 
+    def test_short_run_not_evaluated(self, config):
+        """A 0.15 s face, as in the short benchmark cells, is shorter than
+        the monitor's 0.5 s window: no verdict, and no rise."""
+        setup = harness.nominal_setup(config, duration=0.15, force_noise=0.0)
+        monitor = harness.simulate_sanding(setup).monitor
+        assert monitor.passed is None and monitor.max_rise is None
+        assert len(monitor.v_obs) == 150
+
     def test_observable_storage_decays(self, nominal_run):
         smoothed = nominal_run.monitor.smoothed
         assert smoothed[-1] < 1e-6 * smoothed.max()

@@ -216,6 +216,18 @@ class TestLyapunovMonitor:
         assert not report.passed
         assert report.settle_time is None
 
+    def test_run_shorter_than_window_not_evaluated(self):
+        """150 samples at 1 ms against the 0.5 s window: np.convolve's
+        'valid' mode would swap its arguments and smooth the kernel, passing
+        a growing storage function; the verdict is None instead."""
+        t = np.arange(150) * 1e-3
+        zq = np.exp(20.0 * t)[:, None] * np.ones(4)
+        mm = np.broadcast_to(np.eye(4), (len(t), 4, 4))
+        report = ctl.lyapunov_monitor(t, zq, mm)
+        assert report.passed is None and report.max_rise is None
+        assert len(report.v_obs) == 150 and len(report.smoothed) == 0
+        assert report.settle_time is None
+
     def test_insufficient_data(self):
         with pytest.raises(ctl.InsufficientData):
             ctl.lyapunov_monitor([0.0], np.zeros((1, 4)), np.zeros((1, 4, 4)))

@@ -81,6 +81,28 @@ def transform_chain(model, q):
     return np.array([chain[0, 2], chain[1, 2], q[2] + q[3]])
 
 
+def vector_step(model, q, qdot, u, contact, dt, external_torque=None):
+    """``step`` as it was written on vectors, through forward_kinematics,
+    jacobian, contact_force and the drag vector, without the runaway and
+    joint-limit tests: the reference that the scalar contact path of
+    ``step`` must equal bit for bit."""
+    mass, cor, grav = dyn.dynamics_terms(model, q, qdot)
+    tau = u - cor @ qdot - grav
+    if contact is not None:
+        jac = dyn.jacobian(model, q)
+        x = dyn.forward_kinematics(model, q)
+        depth = float(x @ contact.normal) - contact.plane_offset
+        drag = np.zeros(3) if depth <= 0.0 or contact.drag == 0.0 \
+            else contact.drag * contact.tangent
+        f = dyn.contact_force(contact, x, jac @ qdot) + drag
+        if f.any():
+            tau = tau + jac.T @ f
+    if external_torque is not None:
+        tau = tau + external_torque
+    qdot_new = qdot + dt * np.linalg.solve(mass, tau)
+    return q + dt * qdot_new, qdot_new
+
+
 class TestForwardKinematics:
     def test_zero_angles(self, model):
         x = dyn.forward_kinematics(model, np.zeros(4))
@@ -230,12 +252,18 @@ class TestContact:
         outward = dyn.contact_force(contact, x, np.array([-0.5, 0, 0]))
         assert inward[0] < outward[0] < 0.0
 
-    def test_drag_only_in_contact(self):
-        contact = dyn.BeltContact(plane_offset=0.0, drag=2.0)
-        touching = np.array([0.001, 0, 0])
-        apart = np.array([-0.001, 0, 0])
-        assert dyn.drag_force(contact, touching) == pytest.approx([0.0, -2.0, 0.0])
-        assert dyn.drag_force(contact, apart) == pytest.approx(np.zeros(3))
+    def test_drag_only_in_contact(self, model):
+        """The drag reaches the plant as J^T (drag * tangent), only while
+        the tool is in the belt; at q = 0 the tool sits at x = 0.5."""
+        q, rest = np.zeros(4), np.zeros(4)
+        mass, _, _ = dyn.dynamics_terms(model, q, rest)
+        for offset, touching in ((0.499, True), (0.501, False)):
+            plain = dyn.step(model, q, rest, rest, dyn.BeltContact(offset), 1e-4)[1]
+            dragged = dyn.step(model, q, rest, rest,
+                               dyn.BeltContact(offset, drag=2.0), 1e-4)[1]
+            expected = dyn.jacobian(model, q).T @ [0.0, -2.0, 0.0] if touching \
+                else np.zeros(4)
+            assert mass @ (dragged - plain) / 1e-4 == pytest.approx(expected, abs=1e-8)
 
 
 class TestStep:
@@ -281,6 +309,42 @@ class TestStep:
         with pytest.raises(dyn.IntegrationDiverged, match="at t = 0.2500"):
             dyn.step(model, np.zeros(4), np.zeros(4), u, None, 1e-4, t=0.25)
 
+    def test_nan_carriage_in_contact_detected(self, model):
+        """A NaN carriage coordinate makes the contact depth NaN.  Its NaN
+        force must reach the velocity, where the runaway test catches it;
+        skipped as out of contact, the NaN would pass the joint-limit test."""
+        q = np.array([np.nan, 0.0, 0.4, -0.8])
+        contact = dyn.BeltContact(plane_offset=0.0)
+        with pytest.raises(dyn.IntegrationDiverged):
+            dyn.step(model, q, np.zeros(4), np.zeros(4), contact, 1e-4)
+
+    def test_contact_path_matches_vector_form(self):
+        """The scalar kinematics and forces of step equal the vector form
+        (``vector_step``) bit for bit, signed zeros included, on seeded
+        states on both sides of the belt, exactly on it, with and without
+        drag, damping and an external torque."""
+        rng = np.random.default_rng(91)
+        model = dyn.RobotModel(joint_limits=((-50.0, 50.0),) * 4)
+        for k in range(2000):
+            q = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-3.2, 3.2, 2)])
+            qdot = rng.uniform(-2, 2, 4) * 10.0 ** rng.integers(-3, 1)
+            if k % 5 == 0:
+                qdot[rng.integers(4)] = (0.0, -0.0)[k % 2]
+            u = rng.standard_normal(4) * 10.0 ** rng.integers(-2, 3)
+            angle = rng.uniform(-math.pi, math.pi)
+            normal = np.array([math.cos(angle), math.sin(angle), 0.0])
+            depth = 0.0 if k % 7 == 0 else rng.uniform(-3e-3, 3e-3)
+            offset = float(dyn.forward_kinematics(model, q) @ normal) - depth
+            contact = dyn.BeltContact(
+                offset, stiffness=10.0 ** rng.uniform(2, 6),
+                damping=(0.0, 50.0, 800.0)[k % 3], normal=normal,
+                drag=(0.0, 2.0, -1.5)[k % 3 - 1], tangent=(-normal[1], normal[0], 0.0))
+            tau_ext = None if k % 2 else rng.standard_normal(4)
+            got = dyn.step(model, q, qdot, u, contact, 1e-4, tau_ext)
+            want = vector_step(model, q, qdot, u, contact, 1e-4, tau_ext)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), k
+
     def test_lapack_solve_matches_numpy(self):
         """step solves with LAPACK dgesv directly; numpy's solve calls the
         same routine, so on SPD 4x4 systems like M the two agree bit for
@@ -294,6 +358,19 @@ class TestStep:
             _, _, x, info = dgesv(mass, tau)
             assert info == 0
             assert np.array_equal(x, np.linalg.solve(mass, tau))
+
+    def test_stacked_matvec_matches_separate(self):
+        """dynamics_terms stacks D3 on D4 and multiplies them by qdot in one
+        8x4 matvec.  On this numpy build that equals the two 4x4 matvecs of
+        the matrix form bit for bit, so C does not move; a build whose BLAS
+        sums the rows differently fails here before it moves a trace."""
+        rng = np.random.default_rng(78)
+        for _ in range(1000):
+            d34 = rng.standard_normal((8, 4)) * 10.0 ** rng.integers(-3, 3, (8, 1))
+            d34[rng.random((8, 4)) < 0.3] = 0.0
+            qdot = rng.standard_normal(4) * 10.0 ** rng.integers(-3, 3)
+            separate = np.concatenate([d34[:4] @ qdot, d34[4:] @ qdot])
+            assert (d34 @ qdot).tobytes() == separate.tobytes()
 
     def test_singular_mass_raises(self, model, monkeypatch):
         zero = np.zeros(4)
@@ -312,9 +389,15 @@ class TestStep:
 
     def test_joint_limit_reported(self, model):
         q, qdot = np.array([0.99, 0, 0, 0]), np.array([0.5, 0, 0, 0])
-        with pytest.raises(dyn.JointLimitViolation):
+        with pytest.raises(dyn.JointLimitViolation,
+                           match=r"joint 0 at 1\.00\d\d outside \[-1\.0, 1\.0\]"):
             for _ in range(1000):
                 q, qdot = dyn.step(model, q, qdot, np.zeros(4), None, 1e-3)
+        # two joints leave their range in one step: the first is named
+        q, qdot = np.array([0.0, 0.0, 3.2, -3.2]), np.array([0.0, 0.0, 1.0, -1.0])
+        with pytest.raises(dyn.JointLimitViolation,
+                           match=r"joint 2 at 3\.2001 outside \[-3\.2, 3\.2\] at t = 0\.5000"):
+            dyn.step(model, q, qdot, np.zeros(4), None, 1e-4, t=0.5)
 
     def test_energy_drift(self):
         model = dyn.RobotModel(gravity=0.0, joint_limits=((-50, 50),) * 4)

@@ -14,6 +14,7 @@ import pytest
 
 from autosand import cli, harness
 from autosand import planner as pln
+from autosand import pointcloud as pc
 from autosand.config import PipelineConfig, from_ini, load_config, save_config, to_ini
 
 
@@ -156,6 +157,18 @@ class TestRunReport:
             assert float(cells[5]) == pytest.approx(f["max_rise"], rel=1e-2)
             assert cells[6] == ("-" if f["settle_time"] is None
                                 else f"{f['settle_time']:.3f}")
+
+
+    def test_report_prints_dash_for_unevaluated_descent(self, small_run, tmp_path,
+                                                        capsys):
+        """A face shorter than the monitor's window has a null verdict and
+        rise in report.json; ``autosand report`` prints ``-`` for both."""
+        data = json.loads((small_run["out"] / "report.json").read_text())
+        data["faces"][0].update(descent_passed=None, max_rise=None)
+        (tmp_path / "report.json").write_text(json.dumps(data))
+        assert cli.main(["report", "--run", str(tmp_path)]) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split()
+        assert cells[4] == "-" and cells[5] == "-"
 
 
 class TestQualityGate:
@@ -364,6 +377,74 @@ class TestCsvFormat:
         assert lines[0] == "a,b"
         assert lines[1] == "1,2.5"
         assert lines[2] == "3,1e-07"
+
+
+def per_value_csv(path, columns, rows) -> None:
+    """write_csv as it formatted before, one f-string per value: the
+    reference the block formatter must match byte for byte."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+
+
+def per_value_ply(cloud, path) -> None:
+    """save_ply as it formatted before, one f-string per value."""
+    with open(path, "w") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(cloud)}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        if cloud.intensity is not None:
+            fh.write("property float intensity\n")
+        fh.write("end_header\n")
+        for i, p in enumerate(cloud.points):
+            row = f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}"
+            if cloud.intensity is not None:
+                row += f" {cloud.intensity[i]:.9g}"
+            fh.write(row + "\n")
+
+
+EDGE_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300,
+               5e-324, 1e17, -1e17, 123456789012.0, 1.0 / 3.0, 0.1, 1e-5,
+               9.9999999995, 1.0, 2.0 ** 60]
+
+
+def edge_rows(n, width, seed):
+    """n rows of random values spanning many magnitudes, with every edge
+    value placed in the first rows and in the last one."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-12, 12, (n, width))
+    flat = rows.reshape(-1)
+    flat[:len(EDGE_VALUES)] = EDGE_VALUES[:len(flat)]
+    rows[-1] = np.resize(EDGE_VALUES, width)
+    return rows
+
+
+class TestBlockWriters:
+    """write_csv and save_ply format 256 rows per %-call; the text must be
+    the old per-value text byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_csv_matches_per_value_format(self, tmp_path, n):
+        columns = [f"c{k}" for k in range(7)]
+        rows = edge_rows(n, 7, n)
+        harness.write_csv(tmp_path / "block.csv", columns, rows)
+        per_value_csv(tmp_path / "value.csv", columns, rows)
+        assert (tmp_path / "block.csv").read_bytes() == \
+            (tmp_path / "value.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 256, 257, 600])
+    @pytest.mark.parametrize("with_intensity", [False, True])
+    def test_ply_matches_per_value_format(self, tmp_path, n, with_intensity):
+        rows = edge_rows(n, 4, n + 1) if n else np.zeros((0, 4))
+        cloud = pc.PointCloud(np.zeros((n, 3)),
+                              rows[:, 3] if with_intensity else None)
+        cloud.points = rows[:, :3]      # non-finite coordinates, past the check
+        pc.save_ply(cloud, tmp_path / "block.ply")
+        per_value_ply(cloud, tmp_path / "value.ply")
+        assert (tmp_path / "block.ply").read_bytes() == \
+            (tmp_path / "value.ply").read_bytes()
 
 
 class TestScripts:
