@@ -1,10 +1,17 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from autosand import geometry as geo
+from autosand import harness
 from autosand import pointcloud as pc
+from autosand.config import PipelineConfig
+from test_harness import small_config
+
+REFERENCE = Path(__file__).parent / "data" / "registration_ref.npz"
 
 
 def scan(mesh, angle=0.0, *, density=2e5, noise=0.0, view=(-1.0, -0.3, -0.5),
@@ -13,6 +20,46 @@ def scan(mesh, angle=0.0, *, density=2e5, noise=0.0, view=(-1.0, -0.3, -0.5),
                            surface_seed=surface_seed, sensor_seed=sensor_seed,
                            roughness=roughness)
     return pc.synthetic_scan(mesh, geo.RigidTransform.rotation_z(angle), params)
+
+
+def registration_reference() -> dict:
+    """Each view pair's ICP result, as ``register_sequence`` computes it.
+
+    ``tests/data/registration_ref.npz`` holds these arrays as written by
+    ``np.savez(REFERENCE, **registration_reference())``: the rotation,
+    translation and rms that ``icp_register`` returns for every consecutive
+    view pair of two pipeline scans,
+
+    - ``small``: the views of ``small_config()``;
+    - ``dense``: a 4-face cell scanned in 5 views at density 5e5 with
+      ``sim.seed`` 0, the benchmark's ``scan_dense`` cell 0.
+    """
+    dense = PipelineConfig()
+    dense.object.sides = 4
+    dense.scanner.density = 5e5
+    dense.scanner.n_views = 5
+    dense.sim.seed = 0
+    out = {}
+    real_icp = pc.icp_register
+    for name, config in (("small", small_config()), ("dense", dense)):
+        pairs = []
+
+        def recording_icp(*args, **kwargs):
+            pairs.append(real_icp(*args, **kwargs))
+            return pairs[-1]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            scans, angles = harness._scan_stage(config, harness.build_workcell(config),
+                                                Path(tmp))
+        pc.icp_register = recording_icp
+        try:
+            pc.register_sequence(scans, angles, params=config.icp)
+        finally:
+            pc.icp_register = real_icp
+        out[f"{name}_rotation"] = np.array([tf.rotation for tf, _ in pairs])
+        out[f"{name}_translation"] = np.array([tf.translation for tf, _ in pairs])
+        out[f"{name}_rms"] = np.array([rms for _, rms in pairs])
+    return out
 
 
 class TestRigidTransform:
@@ -262,6 +309,20 @@ class TestMergeScans:
         merged = pc.merge_scans(scans, angles)
         dist = geo.point_mesh_distance(merged.points, mesh)
         assert np.sqrt((dist ** 2).mean()) < 5 * sigma
+
+
+class TestRegistrationReference:
+    def test_matches_stored_reference(self):
+        """Every view pair's (tf, rms) equals the stored reference bit for bit.
+
+        model.ply reaches the bench digests only after SOR; this pins the
+        registration itself, so a rewrite of icp_register must not move a bit.
+        """
+        expected = np.load(REFERENCE)
+        actual = registration_reference()
+        assert sorted(expected.files) == sorted(actual)
+        for name in expected.files:
+            assert actual[name].tobytes() == expected[name].tobytes(), name
 
 
 class TestQuality:
