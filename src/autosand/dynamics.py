@@ -16,9 +16,9 @@ Python floats.  Dot products and matvecs stay numpy calls, whose summation
 order scalar code would not reproduce, and the acceleration is solved with
 LAPACK ``dgesv``, which ``np.linalg.solve`` calls.  The results are
 bit-identical to the matrix form, which ``tests/data/dynamics_ref.npz`` pins.
-``pseudo_inverse`` keeps ``np.linalg.solve``: ``dgesv`` gives the same
-values in Fortran order, and the controller's ``J+ v`` matvec then sums in
-another order, which moves the stored nominal trace.
+``pseudo_inverse`` solves with ``dgesv`` too and transposes a C-ordered copy
+of the solution, so its result has the memory layout of ``np.linalg.solve``'s,
+on which the summation order of the controller's ``J+ v`` matvec depends.
 
 The state is a pair of plain arrays (q, qdot); ``step`` maps one pair to the
 next, and the caller keeps the simulated time.
@@ -156,7 +156,10 @@ def pseudo_inverse(jac: np.ndarray, damping: float = 0.0) -> np.ndarray:
             raise SingularJacobian("Jacobian is rank deficient and damping is zero")
     else:
         jjt = jjt + damping ** 2 * np.eye(jjt.shape[0])
-    return np.linalg.solve(jjt, jac).T
+    _, _, sol, info = dgesv(jjt, jac)
+    if info:
+        raise np.linalg.LinAlgError("singular J J^T in pseudo_inverse")
+    return np.ascontiguousarray(sol).T
 
 
 def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):

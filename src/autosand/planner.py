@@ -129,7 +129,6 @@ def gjk_intersects(a: ConvexShape, b: ConvexShape,
 @dataclass
 class Path:
     waypoints: list
-    collision_checked: bool = False
 
     def __post_init__(self):
         self.waypoints = [np.asarray(w, dtype=float).reshape(4) for w in self.waypoints]
@@ -314,7 +313,7 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
     for w in waypoints[1:]:
         if np.linalg.norm(w - deduped[-1]) > 0.0:
             deduped.append(w)
-    return Path(deduped, collision_checked=True)
+    return Path(deduped)
 
 
 def trapezoid_times(length: float, v_max: float, a_max: float):

@@ -180,6 +180,27 @@ class TestPseudoInverse:
             pinv = dyn.pseudo_inverse(conditioned_jacobian(cond), damping=1e-3)
             assert np.isfinite(pinv).all()
 
+    def test_lapack_solve_matches_numpy(self):
+        """pseudo_inverse solves J J^T X = J with dgesv and transposes a
+        C-ordered copy of X.  That equals np.linalg.solve(jjt, jac).T in its
+        bits and in its memory layout, on which the summation order of the
+        controller's J+ v matvec depends.  A build whose LAPACK differs, or a
+        result in another layout, fails here before it can move a trace."""
+        rng = np.random.default_rng(79)
+        for k in range(1000):
+            jac = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-2, 3)
+            damping = (0.0, 0.05)[k % 2]
+            jjt = jac @ jac.T + damping ** 2 * np.eye(3)
+            want = np.linalg.solve(jjt, jac).T
+            got = dyn.pseudo_inverse(jac, damping)
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(dyn, "dgesv", lambda a, b: (a, None, b, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            dyn.pseudo_inverse(np.eye(3, 4), damping=0.1)
+
     @pytest.mark.parametrize("cond, singular", [
         (1e8, False), (1e10, False), (1e11, False),
         (1e13, True), (1e14, True)])

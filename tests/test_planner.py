@@ -73,7 +73,6 @@ class TestPlanSingleQuery:
         ctx = planner_context([])
         path = pl.plan_single_query(ctx, self.Q_START, self.Q_GOAL)
         assert len(path.waypoints) == 2
-        assert path.collision_checked
         assert path.waypoints[0] == pytest.approx(self.Q_START)
         assert path.waypoints[-1] == pytest.approx(self.Q_GOAL)
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from autosand import geometry as geo
 from autosand import harness
@@ -262,6 +264,157 @@ class TestIcp:
         init_rms = np.sqrt((cKDTree(tgt.points).query(init.apply(src.points))[0] ** 2).mean())
         _, rms = pc.icp_register(src, tgt, init)
         assert rms <= init_rms + 1e-15
+
+
+def unbounded_icp(source, target, init=None, params=None):
+    """icp_register with an unbounded neighbour search in every iteration:
+    the reference whose (tf, rms) the bounded search must equal bit for bit."""
+    params = params or pc.IcpParams()
+    tf = init or geo.RigidTransform.identity()
+    tree = cKDTree(target.points)
+    best_tf, best_rms = tf, np.inf
+    prev_rms = np.inf
+    worse = 0
+    for _ in range(params.max_iters):
+        moved = tf.apply(source.points)
+        dists, idx = tree.query(moved)
+        med = np.median(dists)
+        keep = dists <= params.reject_ratio * med + 1e-300
+        if keep.sum() < 3:
+            keep = np.ones(len(dists), dtype=bool)
+        rms = float(np.sqrt(np.mean(dists[keep] ** 2)))
+        if rms < best_rms:
+            best_tf, best_rms = tf, rms
+        if rms > prev_rms:
+            worse += 1
+            if worse >= params.max_diverging:
+                raise pc.Diverged(f"rms rose {worse} consecutive iterations")
+        else:
+            worse = 0
+        if abs(prev_rms - rms) < params.tol:
+            break
+        prev_rms = rms
+        tf = pc.fit_rigid(source.points[keep], target.points[idx[keep]])
+    return best_tf, best_rms
+
+
+def assert_same_registration(source, target, init=None, params=None):
+    """icp_register and unbounded_icp return the same bits, or both diverge."""
+    outcomes = []
+    for icp in (pc.icp_register, unbounded_icp):
+        try:
+            tf, rms = icp(source, target, init, params)
+        except pc.Diverged as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append((tf.rotation.tobytes(), tf.translation.tobytes(),
+                             np.float64(rms).tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.fixture
+def tree_queries(monkeypatch):
+    """(number of points, distance bound) of every query icp_register makes."""
+    queries = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, *args, distance_upper_bound=np.inf, **kwargs):
+            queries.append((len(x), distance_upper_bound))
+            return super().query(x, *args, distance_upper_bound=distance_upper_bound,
+                                 **kwargs)
+
+    monkeypatch.setattr(pc, "cKDTree", RecordingTree)
+    return queries
+
+
+@pytest.fixture(scope="module")
+def dense_pair():
+    """Two noisy views of a 6-face prism 72 degrees apart (about 6k points
+    each): about a third of each view lies on faces the other never saw."""
+    mesh = geo.prism(np.full(6, 0.06), 0.08)
+    a = scan(mesh, 0.0, density=3e5, noise=2e-4, sensor_seed=1)
+    b = scan(mesh, 2 * math.pi / 5, density=3e5, noise=2e-4, sensor_seed=2)
+    return b, a, geo.RigidTransform.rotation_z(-2 * math.pi / 5)
+
+
+class TestBoundedIcp:
+    """icp_register bounds its neighbour search; (tf, rms) must equal those of
+    the unbounded loop kept above as unbounded_icp."""
+
+    def test_partial_overlap_dense_views(self, dense_pair):
+        assert_same_registration(*dense_pair)
+
+    def test_search_is_bounded_after_the_sample(self, dense_pair, tree_queries):
+        source, target, init = dense_pair
+        pc.icp_register(source, target, init)
+        (n_sample, first_bound), *rest = tree_queries
+        assert 64 <= n_sample < 128 and first_bound == np.inf
+        assert rest and all(np.isfinite(bound) for _, bound in rest)
+
+    def test_gate_outgrowing_bound_reruns_unbounded(self, tree_queries):
+        # Each source point sits off its grid point by its own offset, so its
+        # distance is that offset.  The strided sample (every 8th point) is
+        # 0.01 off, the median point 0.06 and 30 points 0.25: the first bound
+        # is 4 * 5 * 0.01 = 0.2 and the gate 0.3.  The gate is past the bound,
+        # which cut off the 30 points it keeps, so the search must rerun.
+        rng = np.random.default_rng(3)
+        grid = integer_grid()
+        offset = np.full(len(grid), 0.06)
+        offset[::8] = 0.01
+        offset[1::17] = 0.25
+        direction = rng.standard_normal(grid.shape)
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        source = pc.PointCloud(grid + offset[:, None] * direction)
+        assert_same_registration(source, pc.PointCloud(grid))
+        assert tree_queries[1][1] == pytest.approx(0.2) and tree_queries[2][1] == np.inf
+
+    def test_keep_all_path_requeries(self, tree_queries):
+        # Every grid point is 0.1 from its match and 21 are 50 away; with
+        # reject_ratio 0.5 no correspondence passes the gate, so all are kept,
+        # including the 21 the bounded search cut off.
+        grid = integer_grid()
+        source = grid + [0.1, 0.0, 0.0]
+        source[1::25] += [0.0, 0.0, 50.0]
+        assert_same_registration(pc.PointCloud(source), pc.PointCloud(grid), None,
+                                 pc.IcpParams(reject_ratio=0.5))
+        assert tree_queries[1][1] < np.inf and tree_queries[2][1] == np.inf
+
+    def test_self_registration_bound_underflows(self, tree_queries):
+        # every distance is 0, so the gate is 1e-300 and the squared bound 0
+        cloud = scan(geo.box((0.2, 0.2, 0.2)), noise=2e-4, sensor_seed=5)
+        assert_same_registration(cloud, cloud)
+        assert tree_queries[1][1] == 4e-300 and tree_queries[2][1] == np.inf
+
+    def test_divergence_raised_on_same_iteration(self, monkeypatch):
+        calls = []
+
+        def runaway_fit(src, tgt):
+            calls.append(1)
+            return geo.RigidTransform(np.eye(3), np.array([0.1 * len(calls), 0.0, 0.0]))
+
+        monkeypatch.setattr(pc, "fit_rigid", runaway_fit)
+        cloud = pc.PointCloud(np.random.default_rng(0).standard_normal((500, 3)))
+        params = pc.IcpParams(max_diverging=3)
+        fits = []
+        for icp in (pc.icp_register, unbounded_icp):
+            calls.clear()
+            with pytest.raises(pc.Diverged):
+                icp(cloud, cloud, params=params)
+            fits.append(len(calls))
+        assert fits[0] == fits[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(angle=st.floats(-0.5, 0.5), shift=st.tuples(*[st.floats(-0.02, 0.02)] * 3),
+           tilt=st.floats(-0.1, 0.1), ratio=st.floats(1.0, 8.0))
+    def test_random_rigid_inits(self, angle, shift, tilt, ratio):
+        mesh = geo.prism(np.full(5, 0.05), 0.06)
+        a = scan(mesh, 0.0, density=5e4, noise=2e-4, sensor_seed=1)
+        b = scan(mesh, 0.9, density=5e4, noise=2e-4, sensor_seed=2)
+        c, s = math.cos(tilt), math.sin(tilt)
+        tilt_x = geo.RigidTransform(np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]]),
+                                    np.zeros(3))
+        init = geo.RigidTransform.rotation_z(angle, shift).compose(tilt_x)
+        assert_same_registration(b, a, init, pc.IcpParams(reject_ratio=ratio))
 
 
 class TestMergeScans:
