@@ -17,6 +17,7 @@ from autosand import planner as pln
 from autosand import pointcloud as pc
 from autosand.config import PipelineConfig, from_ini, load_config, save_config, to_ini
 
+PIPELINE_REFERENCE = Path(__file__).parent / "data" / "pipeline_ref.json"
 
 def small_config(**overrides):
     """Cut-down workcell: fewer faces, short sanding, light scanner and GA."""
@@ -41,6 +42,25 @@ def tree_digest(root, patterns=("scans/*.ply", "faces/*.csv", "cost_matrix.csv",
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def pipeline_reference(run_dir) -> dict:
+    """The plan and the per-face results of one pipeline run.
+
+    ``tests/data/pipeline_ref.json`` holds this dict for
+    ``harness.run_pipeline(small_config(), out)``, as written by
+    ``PIPELINE_REFERENCE.write_text(json.dumps(pipeline_reference(out), indent=1))``:
+    the text of ``cost_matrix.csv`` and ``sequence.json``, and each face's
+    steady force, steady force error, re-sand count and quality report from
+    ``report.json``.  Python's ``json`` writes floats by ``repr``, so they
+    read back bit for bit.
+    """
+    run_dir = Path(run_dir)
+    faces = json.loads((run_dir / "report.json").read_text())["faces"]
+    keys = ("face_id", "steady_force", "steady_force_error", "resand_count", "quality")
+    return {"cost_matrix.csv": (run_dir / "cost_matrix.csv").read_text(),
+            "sequence.json": (run_dir / "sequence.json").read_text(),
+            "faces": [{k: f[k] for k in keys} for f in faces]}
 
 
 class TestConfigFile:
@@ -125,6 +145,15 @@ class TestPipelineDeterminism:
         harness.run_pipeline(small_config(), tmp_path / "a")
         harness.run_pipeline(small_config(**{"sim.seed": 99}), tmp_path / "b")
         assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "b")
+
+
+class TestPipelineReference:
+    def test_matches_stored_reference(self, small_run):
+        """The per-face sanding path (face contact and setpoint, sensor
+        noise, quality scans) and the plan of ``small_config()`` still give
+        the stored results, compared exactly."""
+        expected = json.loads(PIPELINE_REFERENCE.read_text())
+        assert pipeline_reference(small_run["out"]) == expected
 
 
 class TestRunReport:
