@@ -10,18 +10,17 @@ from .config import PipelineConfig, load_config, save_config
 from .controller import ControllerGains, RbfNetwork, lyapunov_monitor
 from .dynamics import BeltContact, RobotModel
 from .geometry import ConvexShape, RigidTransform
-from .harness import RunReport, run_pipeline, sanding_phase, simulate_sanding
-from .impedance import ForceFilterState, ImpedanceSpec, ReferenceTrajectory
+from .harness import RunReport, run_pipeline, simulate_sanding
+from .impedance import ImpedanceSpec
 from .planner import GaParams, Path, SandingTask, Trajectory
 from .pointcloud import PointCloud, QualityReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeltContact", "ControllerGains", "ConvexShape", "ForceFilterState",
-    "GaParams", "ImpedanceSpec", "Path", "PipelineConfig", "PointCloud",
-    "QualityReport", "RbfNetwork", "ReferenceTrajectory", "RigidTransform",
-    "RobotModel", "RunReport", "SandingTask", "Trajectory", "load_config",
-    "lyapunov_monitor", "run_pipeline", "sanding_phase", "save_config",
-    "simulate_sanding",
+    "BeltContact", "ControllerGains", "ConvexShape", "GaParams",
+    "ImpedanceSpec", "Path", "PipelineConfig", "PointCloud", "QualityReport",
+    "RbfNetwork", "RigidTransform", "RobotModel", "RunReport", "SandingTask",
+    "Trajectory", "load_config", "lyapunov_monitor", "run_pipeline",
+    "save_config", "simulate_sanding",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impedance import ImpedanceSpec, ForceFilterState
+from .impedance import ImpedanceSpec
 
 
 class InsufficientData(Exception):
@@ -92,11 +92,11 @@ class ControllerGains:
 
 
 def reference_velocity(j_pinv: np.ndarray, xd_dot: np.ndarray, pos_error: np.ndarray,
-                       filt: ForceFilterState, spec: ImpedanceSpec) -> np.ndarray:
+                       filt: np.ndarray, spec: ImpedanceSpec) -> np.ndarray:
     """Joint reference velocity: pseudo-inverse image of the corrected task rate."""
     return j_pinv @ (np.asarray(xd_dot, dtype=float)
                      - spec.track_rate * np.asarray(pos_error, dtype=float)
-                     + filt.value)
+                     + filt)
 
 
 def velocity_error(qdot: np.ndarray, qdot_ref: np.ndarray) -> np.ndarray:

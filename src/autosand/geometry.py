@@ -91,9 +91,6 @@ class ConvexShape:
             n = -n
         return n
 
-    def face_center(self, i: int) -> np.ndarray:
-        return self.face_vertices(i).mean(axis=0)
-
     def face_area(self, i: int) -> float:
         v = self.face_vertices(i)
         total = 0.0
@@ -132,17 +129,17 @@ def box(extents, center=(0.0, 0.0, 0.0)) -> ConvexShape:
     return ConvexShape(verts, faces)
 
 
-def prism(radii, height: float, start_angle: float = 0.0) -> ConvexShape:
+def prism(radii, height: float) -> ConvexShape:
     """Convex prism along z from a star-shaped polygon given by vertex radii.
 
-    Vertex k of the cross-section sits at angle start_angle + 2*pi*k/n.  With
+    Vertex k of the cross-section sits at angle 2*pi*k/n.  With
     n radii this yields n lateral faces plus two caps.
     """
     radii = np.asarray(radii, dtype=float)
     n = len(radii)
     if n < 3:
         raise ValueError("need at least 3 radii")
-    ang = start_angle + 2.0 * np.pi * np.arange(n) / n
+    ang = 2.0 * np.pi * np.arange(n) / n
     bottom = np.stack([radii * np.cos(ang), radii * np.sin(ang),
                        np.full(n, -0.5 * height)], axis=1)
     top = bottom.copy()
@@ -157,11 +154,10 @@ def prism(radii, height: float, start_angle: float = 0.0) -> ConvexShape:
     return ConvexShape(verts, tuple(faces))
 
 
-def lateral_faces(shape: ConvexShape, axis=(0.0, 0.0, 1.0), tol: float = 1e-9) -> list:
-    """Indices of faces whose outward normal is perpendicular to ``axis``."""
-    axis = np.asarray(axis, dtype=float)
+def lateral_faces(shape: ConvexShape) -> list:
+    """Indices of faces whose outward normal is perpendicular to z."""
     return [i for i in range(len(shape.faces))
-            if abs(shape.face_normal(i) @ axis) < tol]
+            if abs(shape.face_normal(i)[2]) < 1e-9]
 
 
 def point_mesh_distance(points: np.ndarray, shape: ConvexShape) -> np.ndarray:

@@ -54,10 +54,8 @@ LOG_COLUMNS = (["t"] + [f"q{i}" for i in range(1, 5)] + [f"qd{i}" for i in range
 class SandingSetup:
     """Everything one closed-loop sanding run needs.
 
-    x_d and f_d are constant setpoints; supply ``trajectory`` instead for a
-    time-varying reference (it then drives position, feedforward velocity and
-    desired force each control step).  The arm starts at rest in joint
-    configuration q0 at t = 0.
+    x_d and f_d are the constant pose and force setpoints.  The arm starts at
+    rest in joint configuration q0 at t = 0.
     """
 
     model: dyn.RobotModel
@@ -75,7 +73,6 @@ class SandingSetup:
     noise_seed: int = 0
     pinv_damping: float = 0.0
     disturbance: object = None      # callable t -> joint torque, or None
-    trajectory: imp.ReferenceTrajectory | None = None
 
 
 @dataclass
@@ -83,7 +80,6 @@ class SandingResult:
     times: np.ndarray
     log: np.ndarray                 # one row per control step, LOG_COLUMNS order
     vel_errors: np.ndarray
-    mass_matrices: np.ndarray
     forces: np.ndarray
     task_errors: np.ndarray         # composite impedance error z per step
     steady_force: float
@@ -113,7 +109,8 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
     qdot = np.zeros(4)
     t = 0.0
     net = copy.deepcopy(setup.net)
-    filt = imp.ForceFilterState.zero()
+    filt = np.zeros(3)              # force filter state, velocity units
+    xd_dot = np.zeros(3)            # constant setpoint: no feedforward
     qdr_prev = None
 
     log = np.zeros((n_ctrl, len(LOG_COLUMNS)))
@@ -132,12 +129,8 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
             f_meas = np.zeros(3)
         if setup.force_noise > 0.0:
             f_meas = f_meas + rng.standard_normal(3) * setup.force_noise
-        if setup.trajectory is not None:
-            x_d, xd_dot, _, f_d = setup.trajectory.sample(t)
-        else:
-            x_d, xd_dot, f_d = setup.x_d, np.zeros(3), setup.f_d
-        dx = x - x_d
-        filt = imp.filter_force_step(filt, f_meas - f_d, setup.spec,
+        dx = x - setup.x_d
+        filt = imp.filter_force_step(filt, f_meas - setup.f_d, setup.spec,
                                      setup.dt_control)
         j_pinv = dyn.pseudo_inverse(jac, setup.pinv_damping)
         qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, filt, setup.spec)
@@ -170,14 +163,11 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
     after = times >= transient
     normal = setup.contact.normal if setup.contact is not None else np.array([1.0, 0, 0])
     steady_force = float((f_hist[tail] @ normal).mean())
-    f_d_end = setup.trajectory.force(times[-1]) if setup.trajectory is not None \
-        else setup.f_d
-    target = float(f_d_end @ normal)
+    target = float(setup.f_d @ normal)
     zq_norm = np.linalg.norm(zq_hist, axis=1)
     monitor = ctl.lyapunov_monitor(times, zq_hist, m_hist, transient=transient)
     return SandingResult(
-        times=times, log=log, vel_errors=zq_hist, mass_matrices=m_hist,
-        forces=f_hist, task_errors=z_hist,
+        times=times, log=log, vel_errors=zq_hist, forces=f_hist, task_errors=z_hist,
         steady_force=steady_force,
         steady_force_error=steady_force - target,
         max_zq_after_transient=float(zq_norm[after].max() if after.any() else zq_norm.max()),
@@ -212,10 +202,6 @@ class Workcell:
     transits: dict = field(default_factory=dict)
 
 
-def build_object(config: PipelineConfig) -> ConvexShape:
-    return prism(config.object.radii(), config.object.height)
-
-
 def build_holder() -> ConvexShape:
     return box((0.04, 0.06, 0.04), center=(0.0, -0.13, 0.0))
 
@@ -227,7 +213,7 @@ def face_geometry(mesh: ConvexShape, face: int):
 
 
 def build_workcell(config: PipelineConfig) -> Workcell:
-    mesh = build_object(config)
+    mesh = prism(config.object.radii(), config.object.height)
     faces = lateral_faces(mesh)
     cc = config.contact
     belt_shape = box(cc.belt_size,
@@ -244,7 +230,7 @@ def build_workcell(config: PipelineConfig) -> Workcell:
                               th1, th2])
         q_approach = q_contact.copy()
         q_approach[0] -= config.pipeline.approach_clearance
-        tasks.append(pln.SandingTask(face, q_approach, q_contact, (1.0, 0.0, 0.0)))
+        tasks.append(pln.SandingTask(face, q_approach, q_contact))
     ctx = pln.PlannerContext(
         model=config.robot, payload=mesh,
         obstacles=[(belt_shape, RigidTransform.identity())],
@@ -278,40 +264,18 @@ def build_gains(config: PipelineConfig) -> ctl.ControllerGains:
                                config.control.robust_gain, boundary)
 
 
-def face_contact(config: PipelineConfig, support: float) -> dyn.BeltContact:
-    return dyn.BeltContact(plane_offset=config.contact.belt_x - support,
-                           stiffness=config.contact.stiffness,
-                           damping=config.contact.damping,
-                           drag=config.contact.drag)
-
-
-def face_setpoint(config: PipelineConfig, contact: dyn.BeltContact,
-                  phi: float) -> tuple:
-    depth = abs(config.setpoint.force) / config.contact.stiffness
-    x_d = np.array([contact.plane_offset + depth + config.setpoint.penetration_margin,
-                    0.0, phi])
-    f_d = np.array([config.setpoint.force, 0.0, 0.0])
-    return x_d, f_d
-
-
-def sanding_phase(config: PipelineConfig, task: pln.SandingTask,
-                  duration: float | None = None, noise_seed: int = 0,
-                  disturbance=None) -> SandingResult:
-    """Closed-loop sanding of one face: press to the force setpoint and hold."""
-    mesh = build_object(config)
-    _, support = face_geometry(mesh, task.face_id)
-    contact = face_contact(config, support)
-    phi = task.contact[2] + task.contact[3]
-    x_d, f_d = face_setpoint(config, contact, phi)
-    setup = SandingSetup(
+def build_setup(config: PipelineConfig, contact: dyn.BeltContact, x_d, q0,
+                duration: float, force_noise: float, noise_seed: int) -> SandingSetup:
+    """Regulation to the pose x_d and the config's force setpoint against
+    ``contact``, starting at rest in q0."""
+    return SandingSetup(
         model=config.robot, spec=config.impedance, gains=build_gains(config),
-        net=build_network(config), contact=contact, x_d=x_d, f_d=f_d,
-        q0=task.contact,
-        duration=duration if duration is not None else config.sim.sanding_duration,
+        net=build_network(config), contact=contact, x_d=x_d,
+        f_d=np.array([config.setpoint.force, 0.0, 0.0]),
+        q0=q0, duration=duration,
         dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
-        force_noise=config.control.force_noise, noise_seed=noise_seed,
-        pinv_damping=config.control.pinv_damping, disturbance=disturbance)
-    return simulate_sanding(setup, config.sim.transient, config.sim.tail_fraction)
+        force_noise=force_noise, noise_seed=noise_seed,
+        pinv_damping=config.control.pinv_damping)
 
 
 def nominal_setup(config: PipelineConfig, duration: float = 10.0,
@@ -327,16 +291,10 @@ def nominal_setup(config: PipelineConfig, duration: float = 10.0,
     q0 = np.array([contact.plane_offset - l1 * np.cos(th1) - l2,
                    -l1 * np.sin(th1), th1, -th1])
     x0 = dyn.forward_kinematics(config.robot, q0)
-    return SandingSetup(
-        model=config.robot, spec=config.impedance, gains=build_gains(config),
-        net=build_network(config), contact=contact,
-        x_d=np.array([0.0515, x0[1], 0.0]),
-        f_d=np.array([config.setpoint.force, 0.0, 0.0]),
-        q0=q0, duration=duration,
-        dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
-        force_noise=config.control.force_noise if force_noise is None else force_noise,
-        noise_seed=derive_seed(config.sim.seed, 31),
-        pinv_damping=config.control.pinv_damping)
+    return build_setup(
+        config, contact, np.array([0.0515, x0[1], 0.0]), q0, duration,
+        config.control.force_noise if force_noise is None else force_noise,
+        derive_seed(config.sim.seed, 31))
 
 
 # --- scanning helpers ------------------------------------------------------------
@@ -559,8 +517,18 @@ def _transit_leg(config, cell, i, j, leg, out) -> pln.Trajectory:
 
 @_stage("sand")
 def _sand_face(config, cell, task, attempt, out):
-    seed = derive_seed(config.sim.seed, 13, task.face_id, attempt)
-    result = sanding_phase(config, task, noise_seed=seed)
+    """Closed-loop sanding of one face: press to the force setpoint and hold."""
+    contact = dyn.BeltContact(
+        plane_offset=config.contact.belt_x - cell.mesh.face_support(task.face_id),
+        stiffness=config.contact.stiffness, damping=config.contact.damping,
+        drag=config.contact.drag)
+    depth = abs(config.setpoint.force) / config.contact.stiffness
+    x_d = np.array([contact.plane_offset + depth + config.setpoint.penetration_margin,
+                    0.0, task.contact[2] + task.contact[3]])
+    setup = build_setup(config, contact, x_d, task.contact,
+                        config.sim.sanding_duration, config.control.force_noise,
+                        derive_seed(config.sim.seed, 13, task.face_id, attempt))
+    result = simulate_sanding(setup, config.sim.transient, config.sim.tail_fraction)
     (out / "faces").mkdir(parents=True, exist_ok=True)
     write_csv(out / "faces" / f"face{task.face_id:02d}_attempt{attempt}.csv",
               LOG_COLUMNS, result.log)

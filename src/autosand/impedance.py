@@ -14,7 +14,6 @@ realizes the target impedance in the low-frequency range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -69,23 +68,10 @@ class ImpedanceSpec:
             self.inertia, self.damping, self.stiffness)
 
 
-@dataclass
-class ForceFilterState:
-    """State of the first-order force-error filter (velocity units)."""
-
-    value: np.ndarray = None
-
-    def __post_init__(self):
-        self.value = np.zeros(3) if self.value is None else _diag3(self.value)
-
-    @classmethod
-    def zero(cls) -> "ForceFilterState":
-        return cls()
-
-
-def filter_force_step(state: ForceFilterState, force_error: np.ndarray,
-                      spec: ImpedanceSpec, dt: float) -> ForceFilterState:
-    """Advance the force filter by dt with a zero-order hold on the force error.
+def filter_force_step(filt: np.ndarray, force_error: np.ndarray,
+                      spec: ImpedanceSpec, dt: float) -> np.ndarray:
+    """Advance the force filter state (a 3-vector, velocity units) by dt with a
+    zero-order hold on the force error.
 
     The filter is diagonal and linear, so the exact exponential update is used
     instead of an Euler step.
@@ -94,46 +80,10 @@ def filter_force_step(state: ForceFilterState, force_error: np.ndarray,
         raise ValueError("dt must be positive")
     decay = np.exp(-spec.filter_rate * dt)
     gain = (1.0 - decay) / (spec.filter_rate * spec.inertia)
-    return ForceFilterState(decay * state.value + gain * _diag3(force_error))
+    return decay * filt + gain * _diag3(force_error)
 
 
 def impedance_error(pos_error: np.ndarray, vel_error: np.ndarray,
-                    spec: ImpedanceSpec, state: ForceFilterState) -> np.ndarray:
+                    spec: ImpedanceSpec, filt: np.ndarray) -> np.ndarray:
     """Composite task-space impedance error z."""
-    return _diag3(vel_error) + spec.track_rate * _diag3(pos_error) - state.value
-
-
-@dataclass
-class ReferenceTrajectory:
-    """Time-varying task-space setpoint: position, its derivatives, and force."""
-
-    position: Callable
-    velocity: Callable
-    acceleration: Callable
-    force: Callable
-
-    @classmethod
-    def constant(cls, x_d, f_d) -> "ReferenceTrajectory":
-        x_d = _diag3(x_d)
-        f_d = _diag3(f_d)
-        zero = np.zeros(3)
-        return cls(lambda t: x_d, lambda t: zero, lambda t: zero, lambda t: f_d)
-
-    @classmethod
-    def from_samples(cls, times, positions, forces=None) -> "ReferenceTrajectory":
-        """Uniformly sampled setpoint; velocities/accelerations by central differences."""
-        times = np.asarray(times, dtype=float)
-        positions = np.asarray(positions, dtype=float).reshape(len(times), 3)
-        vel = np.gradient(positions, times, axis=0)
-        acc = np.gradient(vel, times, axis=0)
-        if forces is None:
-            forces = np.zeros_like(positions)
-        forces = np.asarray(forces, dtype=float).reshape(len(times), 3)
-
-        def interp(samples):
-            return lambda t: np.array([np.interp(t, times, samples[:, k]) for k in range(3)])
-
-        return cls(interp(positions), interp(vel), interp(acc), interp(forces))
-
-    def sample(self, t: float):
-        return self.position(t), self.velocity(t), self.acceleration(t), self.force(t)
+    return _diag3(vel_error) + spec.track_rate * _diag3(pos_error) - filt

@@ -152,12 +152,10 @@ class SandingTask:
     face_id: int
     approach: np.ndarray
     contact: np.ndarray
-    normal: np.ndarray
 
     def __post_init__(self):
         self.approach = np.asarray(self.approach, dtype=float).reshape(4)
         self.contact = np.asarray(self.contact, dtype=float).reshape(4)
-        self.normal = np.asarray(self.normal, dtype=float).reshape(3)
 
 
 @dataclass

@@ -250,11 +250,10 @@ def icp_register(source: PointCloud, target: PointCloud,
     return best_tf, best_rms
 
 
-def register_sequence(scans, commanded_angles, axis=(0.0, 0.0, 1.0),
-                      params: IcpParams | None = None):
+def register_sequence(scans, commanded_angles, params: IcpParams | None = None):
     """Register each scan into the first scan's frame.
 
-    The commanded rotation between consecutive views seeds the ICP, the
+    The commanded rotation about z between consecutive views seeds the ICP, the
     refined relative transforms are then composed.  Returns one transform per
     scan (the first is the identity).
     """
@@ -262,9 +261,6 @@ def register_sequence(scans, commanded_angles, axis=(0.0, 0.0, 1.0),
         raise ValueError("need at least 2 scans")
     if len(commanded_angles) != len(scans):
         raise ValueError("one commanded angle per scan")
-    axis = np.asarray(axis, dtype=float)
-    if abs(axis @ (0, 0, 1.0)) < 1.0 - 1e-12:
-        raise ValueError("only rotation about z is supported")
     transforms = [RigidTransform.identity()]
     for i in range(len(scans) - 1):
         rel_init = RigidTransform.rotation_z(commanded_angles[i] - commanded_angles[i + 1])

@@ -61,7 +61,7 @@ class TestReferenceTrace:
         The trace was written by the tick that built a JointState per substep
         and a new RbfNetwork per control step; moving the tick onto plain
         arrays must not move a single bit, so the comparison is exact.
-        The pipeline's noise path is covered by the benchmark's digests.
+        The pipeline's noise path is pinned by ``tests/data/pipeline_ref.json``.
         """
         expected = np.load(Path(__file__).parent / "data" / "nominal_1s_log.npy")
         setup = harness.nominal_setup(config, duration=1.0, force_noise=0.0)
@@ -190,29 +190,3 @@ class TestFreeSpaceTracking:
     def test_forces_stay_zero(self, config):
         result = harness.simulate_sanding(free_space_setup(config, duration=3.0))
         assert np.abs(result.forces).max() == 0.0
-
-    def test_time_varying_reference(self, config):
-        """A slow task-space orbit is followed once the feedforward kicks in."""
-        from autosand.impedance import ReferenceTrajectory
-        setup = free_space_setup(config, duration=8.0)
-        x0 = setup.x_d
-        omega = 0.8
-        amp = np.array([0.02, 0.015, 0.1])
-
-        def pos(t):
-            return x0 + amp * np.sin(omega * t)
-
-        def vel(t):
-            return amp * omega * np.cos(omega * t)
-
-        def acc(t):
-            return -amp * omega ** 2 * np.sin(omega * t)
-
-        setup.trajectory = ReferenceTrajectory(pos, vel, acc,
-                                               lambda t: np.zeros(3))
-        result = harness.simulate_sanding(setup)
-        t = result.times
-        tail = t >= 5.0
-        x_ref = np.stack([pos(ti) for ti in t[tail]])
-        err = np.linalg.norm(result.log[tail, 9:12] - x_ref, axis=1)
-        assert err.max() < 2e-3

@@ -5,7 +5,7 @@ import pytest
 
 from autosand import controller as ctl
 from autosand import dynamics as dyn
-from autosand.impedance import ForceFilterState, ImpedanceSpec
+from autosand.impedance import ImpedanceSpec
 
 
 def make_net(n=8, learn_rate=2.0, seed=0):
@@ -20,14 +20,14 @@ class TestReferenceVelocity:
         dx = np.array([0.01, -0.02, 0.005])
         xd_dot = spec.track_rate * dx
         j_pinv = np.vstack([np.eye(3), np.zeros((1, 3))])
-        qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, ForceFilterState.zero(), spec)
+        qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, np.zeros(3), spec)
         assert qdr == pytest.approx(np.zeros(4))
 
     def test_identity_pseudo_inverse(self):
         spec = ImpedanceSpec()
         j_pinv = np.vstack([np.eye(3), np.zeros((1, 3))])
         qdr = ctl.reference_velocity(j_pinv, np.array([1.0, 0, 0]), np.zeros(3),
-                                     ForceFilterState.zero(), spec)
+                                     np.zeros(3), spec)
         assert qdr == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_pseudo_inverse_consistency(self, model, rng):
@@ -38,9 +38,9 @@ class TestReferenceVelocity:
             j_pinv = dyn.pseudo_inverse(jac)
             xd_dot = rng.standard_normal(3)
             dx = rng.standard_normal(3) * 0.01
-            filt = ForceFilterState(rng.standard_normal(3) * 0.1)
+            filt = rng.standard_normal(3) * 0.1
             qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, filt, spec)
-            assert np.abs(jac @ qdr - (xd_dot - spec.track_rate * dx + filt.value)
+            assert np.abs(jac @ qdr - (xd_dot - spec.track_rate * dx + filt)
                           ).max() < 1e-9
 
 
@@ -63,7 +63,7 @@ class TestVelocityError:
             jac = dyn.jacobian(model, q)
             xd_dot = rng.standard_normal(3)
             dx = rng.standard_normal(3) * 0.01
-            filt = ForceFilterState(rng.standard_normal(3) * 0.1)
+            filt = rng.standard_normal(3) * 0.1
             qdr = ctl.reference_velocity(dyn.pseudo_inverse(jac), xd_dot, dx,
                                          filt, spec)
             zq = ctl.velocity_error(qd, qdr)

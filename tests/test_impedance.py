@@ -56,48 +56,48 @@ class TestImpedanceSpec:
 class TestForceFilter:
     def test_rest_state(self):
         spec = imp.ImpedanceSpec()
-        state = imp.ForceFilterState.zero()
+        state = np.zeros(3)
         for _ in range(100):
             state = imp.filter_force_step(state, np.zeros(3), spec, 1e-3)
-        assert state.value == pytest.approx(np.zeros(3))
+        assert state == pytest.approx(np.zeros(3))
 
     def test_dc_gain(self):
         spec = imp.ImpedanceSpec(1.0, 2.0, 1.0)  # filter rate 1, inertia 1
-        state = imp.ForceFilterState.zero()
+        state = np.zeros(3)
         for _ in range(20000):
             state = imp.filter_force_step(state, np.array([2.0, 0, 0]), spec, 1e-3)
-        assert state.value == pytest.approx([2.0, 0.0, 0.0], abs=1e-6)
+        assert state == pytest.approx([2.0, 0.0, 0.0], abs=1e-6)
 
     def test_single_step_closed_form(self):
         spec = imp.ImpedanceSpec(1.0, 2.0, 1.0)
-        state = imp.filter_force_step(imp.ForceFilterState.zero(),
+        state = imp.filter_force_step(np.zeros(3),
                                       np.array([1.0, 0, 0]), spec, 0.1)
-        assert state.value[0] == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
+        assert state[0] == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            imp.filter_force_step(imp.ForceFilterState.zero(), np.zeros(3),
+            imp.filter_force_step(np.zeros(3), np.zeros(3),
                                   imp.ImpedanceSpec(), 0.0)
 
     def test_bounded_response(self, rng):
         # |state| can never exceed |state_0| + |DC gain| * sup|input|
         spec = imp.ImpedanceSpec()
         bound = (1.0 / (spec.filter_rate * spec.inertia)).max() * 3.0 * math.sqrt(3)
-        state = imp.ForceFilterState.zero()
+        state = np.zeros(3)
         for _ in range(5000):
             state = imp.filter_force_step(state, rng.uniform(-3, 3, 3), spec, 1e-3)
-            assert np.linalg.norm(state.value) <= bound + 1e-12
+            assert np.linalg.norm(state) <= bound + 1e-12
 
 
 class TestImpedanceError:
     def test_perfect_tracking(self):
         z = imp.impedance_error(np.zeros(3), np.zeros(3), imp.ImpedanceSpec(),
-                                imp.ForceFilterState.zero())
+                                np.zeros(3))
         assert z == pytest.approx(np.zeros(3))
 
     def test_single_term(self):
         z = imp.impedance_error(np.array([0.001, 0, 0]), np.zeros(3),
-                                imp.ImpedanceSpec(), imp.ForceFilterState.zero())
+                                imp.ImpedanceSpec(), np.zeros(3))
         assert z == pytest.approx([0.0115, 0.0, 0.0])
 
     def test_target_model_identity(self):
@@ -127,7 +127,7 @@ class TestImpedanceError:
             return np.stack([0.2 * np.sin(1.5 * tt), 0.1 * np.cos(tt),
                              np.zeros_like(tt)], axis=-1)
 
-        state = imp.ForceFilterState.zero()
+        state = np.zeros(3)
         z = np.zeros((len(t), 3))
         for i, ti in enumerate(t):
             z[i] = imp.impedance_error(dx(ti), dxdot(ti), spec, state)
@@ -140,20 +140,3 @@ class TestImpedanceError:
         err = np.linalg.norm(lhs - rhs, axis=1)[5:-5]
         assert err.max() < 1e-3
 
-
-class TestReferenceTrajectory:
-    def test_constant(self):
-        traj = imp.ReferenceTrajectory.constant([1.0, 2.0, 3.0], [-25.0, 0, 0])
-        x, v, a, f = traj.sample(7.7)
-        assert x == pytest.approx([1.0, 2.0, 3.0])
-        assert v == pytest.approx(np.zeros(3))
-        assert a == pytest.approx(np.zeros(3))
-        assert f == pytest.approx([-25.0, 0.0, 0.0])
-
-    def test_sampled_velocity_consistency(self):
-        t = np.linspace(0, 2, 401)
-        pos = np.stack([np.sin(t), np.cos(t), 0.1 * t], axis=1)
-        traj = imp.ReferenceTrajectory.from_samples(t, pos)
-        vel = np.stack([traj.velocity(ti) for ti in t])
-        fd = np.gradient(pos, t, axis=0)
-        assert np.abs(vel - fd).max() < 1e-6
