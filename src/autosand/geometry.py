@@ -132,8 +132,8 @@ def box(extents, center=(0.0, 0.0, 0.0)) -> ConvexShape:
 def prism(radii, height: float) -> ConvexShape:
     """Convex prism along z from a star-shaped polygon given by vertex radii.
 
-    Vertex k of the cross-section sits at angle 2*pi*k/n.  With
-    n radii this yields n lateral faces plus two caps.
+    Vertex k of the cross-section sits at angle 2*pi*k/n.  With n radii this
+    yields n lateral faces plus two caps.
     """
     radii = np.asarray(radii, dtype=float)
     n = len(radii)
