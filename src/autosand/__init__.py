@@ -7,7 +7,7 @@ planar 4-DOF arm pressing the workpiece against a sanding belt.
 """
 
 from .config import PipelineConfig, load_config, save_config
-from .controller import ControllerGains, RbfNetwork, lyapunov_monitor
+from .controller import ControlConfig, RbfNetwork, lyapunov_monitor
 from .dynamics import BeltContact, RobotModel
 from .geometry import ConvexShape, RigidTransform
 from .harness import RunReport, run_pipeline, simulate_sanding
@@ -18,7 +18,7 @@ from .pointcloud import PointCloud, QualityReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeltContact", "ControllerGains", "ConvexShape", "GaParams",
+    "BeltContact", "ControlConfig", "ConvexShape", "GaParams",
     "ImpedanceSpec", "Path", "PipelineConfig", "PointCloud", "QualityReport",
     "RbfNetwork", "RigidTransform", "RobotModel", "RunReport", "SandingTask",
     "Trajectory", "load_config", "lyapunov_monitor", "run_pipeline",

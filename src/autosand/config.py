@@ -1,8 +1,11 @@
-"""Pipeline configuration: defaults, validation, and the INI file format.
+"""Pipeline configuration: the assembled sections and the INI file format.
 
-Every tunable default lives here.  The file format is plain configparser INI:
-one section per subsystem, values coerced by the type of the corresponding
-dataclass default (floats, ints, bools, comma-separated vectors).
+Each section's dataclass lives in the module that reads it and checks its
+own values; this module defines the sections that no single layer reads,
+assembles all of them into PipelineConfig and owns the INI format.  That is
+plain configparser INI: one section per subsystem, values coerced by the type
+of the corresponding dataclass default (floats, ints, bools, comma-separated
+vectors of the default's length).  Anything else is rejected at load.
 """
 
 from __future__ import annotations
@@ -14,22 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .controller import ControlConfig
 from .dynamics import RobotModel
 from .impedance import ImpedanceSpec
-from .planner import GaParams
-from .pointcloud import IcpParams, QualityParams
-
-
-@dataclass
-class ControlConfig:
-    vel_gain: float = 10.0
-    robust_gain: float = 20.0
-    boundary: float = 0.05         # 0 selects the exact sign function
-    learn_rate: float = 20.0
-    n_centers: int = 64
-    width_scale: float = 1.0
-    force_noise: float = 0.1       # N, std dev of the simulated force sensor
-    pinv_damping: float = 0.0
+from .planner import GaParams, PlannerConfig
+from .pointcloud import IcpParams, QualityParams, ScannerConfig, SorConfig
 
 
 @dataclass
@@ -61,35 +53,6 @@ class ObjectConfig:
         k = np.arange(self.sides)
         return self.mean_radius + self.radius_variation * np.cos(
             2.0 * np.pi * k / self.sides + self.radius_phase)
-
-
-@dataclass
-class ScannerConfig:
-    density: float = 2e5
-    depth_noise: float = 2e-4
-    view_dir: tuple = (-1.0, 0.0, -0.45)
-    n_views: int = 4
-    intensity_base: float = 0.88
-    intensity_slope: float = 250.0
-    speckle: float = 0.05
-    field_margin: float = 0.05     # box half-width around the object for the field filter
-
-
-@dataclass
-class SorConfig:
-    k: int = 50
-    alpha: float = 1.0
-
-
-@dataclass
-class PlannerConfig:
-    task_step: float = 0.005
-    retreat_step: float = 0.02
-    retreat_max: float = 0.10
-    max_rule_repairs: int = 4
-    sample_budget: int = 200
-    straight_line_cost: bool = False   # GA fitness from straight segments instead of planned paths
-    sample_dt: float = 0.01
 
 
 @dataclass
@@ -152,7 +115,9 @@ def _format_value(value) -> str:
 def _parse_like(text: str, template):
     text = text.strip()
     if isinstance(template, (bool, np.bool_)):
-        return text.lower() in ("1", "true", "yes", "on")
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {text!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     if isinstance(template, (int, np.integer)):
         return int(text)
     if isinstance(template, (float, np.floating)):
@@ -161,6 +126,8 @@ def _parse_like(text: str, template):
         parts = [p for p in text.replace(",", " ").split() if p]
         arr = np.array([float(p) for p in parts])
         template_arr = np.asarray(template)
+        if arr.size != template_arr.size:
+            raise ValueError(f"expected {template_arr.size} values, got {arr.size}")
         if template_arr.ndim > 1:
             arr = arr.reshape(template_arr.shape)
         return arr
@@ -186,6 +153,10 @@ def from_ini(text: str) -> PipelineConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
     defaults = PipelineConfig()
+    sections = {f.name for f in dataclasses.fields(defaults)}
+    for section in parser.sections():
+        if section not in sections:
+            raise ValueError(f"unknown section [{section}]")
     kwargs = {}
     for section_field in dataclasses.fields(defaults):
         section = section_field.name
@@ -199,7 +170,10 @@ def from_ini(text: str) -> PipelineConfig:
         for key, raw in parser[section].items():
             if key not in valid:
                 raise ValueError(f"unknown key [{section}] {key}")
-            sub_kwargs[key] = _parse_like(raw, getattr(sub_default, key))
+            try:
+                sub_kwargs[key] = _parse_like(raw, getattr(sub_default, key))
+            except ValueError as err:
+                raise ValueError(f"[{section}] {key}: {err}") from None
         for name in valid:
             if name not in sub_kwargs:
                 sub_kwargs[name] = getattr(sub_default, name)

@@ -50,13 +50,13 @@ class RbfNetwork:
             raise ValueError("weights must be finite")
 
     @classmethod
-    def latin_hypercube(cls, low, high, n_centers: int = 64, seed: int = 0,
-                        learn_rate: float = 50.0, width_scale: float = 1.0) -> "RbfNetwork":
+    def latin_hypercube(cls, low, high, control: ControlConfig, seed: int) -> "RbfNetwork":
         """Spread centers over the operating box by Latin-hypercube sampling.
 
         Widths are set to the median inter-center distance (scaled), which keeps
         every basis function active somewhere in the box.
         """
+        n_centers = control.n_centers
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
         d = len(low)
@@ -66,29 +66,31 @@ class RbfNetwork:
         centers = low + u * (high - low)
         diff = centers[:, None, :] - centers[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
-        width = width_scale * np.median(dist[np.triu_indices(n_centers, 1)])
-        return cls(centers, width, learn_rates=learn_rate)
+        width = control.width_scale * np.median(dist[np.triu_indices(n_centers, 1)])
+        return cls(centers, width, learn_rates=control.learn_rate)
 
 
 @dataclass
-class ControllerGains:
-    """vel_gain is the diagonal of the velocity-error gain matrix; robust_gain
-    scales the switching term.  boundary=None selects the exact sign function,
-    otherwise the switching term saturates linearly inside |z| < boundary."""
+class ControlConfig:
+    """Controller and RBF-network gains.  vel_gain multiplies the velocity
+    error; the robust switching term saturates linearly inside |z| < boundary."""
 
-    vel_gain: np.ndarray = 10.0
+    vel_gain: float = 10.0
     robust_gain: float = 20.0
-    boundary: float | None = 0.05
+    boundary: float = 0.05         # 0 selects the exact sign function
+    learn_rate: float = 20.0
+    n_centers: int = 64
+    width_scale: float = 1.0
+    force_noise: float = 0.1       # N, std dev of the simulated force sensor
+    pinv_damping: float = 0.0
 
     def __post_init__(self):
-        self.vel_gain = np.broadcast_to(
-            np.asarray(self.vel_gain, dtype=float), (4,)).copy()
-        if (self.vel_gain <= 0).any():
-            raise ValueError("velocity-error gains must be positive")
-        if self.robust_gain < 0:
+        if not self.vel_gain > 0:
+            raise ValueError("velocity-error gain must be positive")
+        if not self.robust_gain >= 0:
             raise ValueError("robust gain must be non-negative")
-        if self.boundary is not None and self.boundary <= 0:
-            raise ValueError("boundary layer must be positive")
+        if not self.boundary >= 0:
+            raise ValueError("boundary layer must be non-negative")
 
 
 def reference_velocity(j_pinv: np.ndarray, xd_dot: np.ndarray, pos_error: np.ndarray,
@@ -112,13 +114,13 @@ def rbf_activation(net: RbfNetwork, q, qdot, qdot_ref, qddot_ref) -> np.ndarray:
     return np.exp(-d2 / (2.0 * net.widths ** 2))
 
 
-def _switch(vel_err: np.ndarray, boundary: float | None) -> np.ndarray:
-    if boundary is None:
+def _switch(vel_err: np.ndarray, boundary: float) -> np.ndarray:
+    if boundary == 0.0:
         return np.sign(vel_err)
     return np.clip(vel_err / boundary, -1.0, 1.0)
 
 
-def control_law(gains: ControllerGains, net: RbfNetwork, vel_err: np.ndarray,
+def control_law(gains: ControlConfig, net: RbfNetwork, vel_err: np.ndarray,
                 theta: np.ndarray, tau_ext: np.ndarray) -> np.ndarray:
     """Adaptive impedance control torque.
 

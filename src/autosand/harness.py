@@ -60,7 +60,7 @@ class SandingSetup:
 
     model: dyn.RobotModel
     spec: imp.ImpedanceSpec
-    gains: ctl.ControllerGains
+    gains: ctl.ControlConfig
     net: ctl.RbfNetwork
     contact: dyn.BeltContact | None
     x_d: np.ndarray
@@ -71,7 +71,6 @@ class SandingSetup:
     dt_physics: float = 1e-4
     force_noise: float = 0.0
     noise_seed: int = 0
-    pinv_damping: float = 0.0
     disturbance: object = None      # callable t -> joint torque, or None
 
 
@@ -132,7 +131,7 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
         dx = x - setup.x_d
         filt = imp.filter_force_step(filt, f_meas - setup.f_d, setup.spec,
                                      setup.dt_control)
-        j_pinv = dyn.pseudo_inverse(jac, setup.pinv_damping)
+        j_pinv = dyn.pseudo_inverse(jac, setup.gains.pinv_damping)
         qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, filt, setup.spec)
         qddr = np.zeros(4) if qdr_prev is None else (qdr - qdr_prev) / setup.dt_control
         qdr_prev = qdr
@@ -234,12 +233,7 @@ def build_workcell(config: PipelineConfig) -> Workcell:
     ctx = pln.PlannerContext(
         model=config.robot, payload=mesh,
         obstacles=[(belt_shape, RigidTransform.identity())],
-        belt_normal=(1.0, 0.0, 0.0),
-        task_step=config.planner.task_step,
-        retreat_step=config.planner.retreat_step,
-        retreat_max=config.planner.retreat_max,
-        max_rule_repairs=config.planner.max_rule_repairs,
-        sample_budget=config.planner.sample_budget,
+        belt_normal=(1.0, 0.0, 0.0), params=config.planner,
         seed=derive_seed(config.sim.seed, 11))
     roughness = np.zeros(len(mesh.faces))
     roughness[faces] = config.object.roughness
@@ -251,31 +245,22 @@ def build_network(config: PipelineConfig) -> ctl.RbfNetwork:
     v = config.robot.velocity_limits
     lo = np.concatenate([lim[:, 0], -v, -v, -10.0 * v])
     hi = np.concatenate([lim[:, 1], v, v, 10.0 * v])
-    return ctl.RbfNetwork.latin_hypercube(
-        lo, hi, n_centers=config.control.n_centers,
-        seed=derive_seed(config.sim.seed, 23),
-        learn_rate=config.control.learn_rate,
-        width_scale=config.control.width_scale)
-
-
-def build_gains(config: PipelineConfig) -> ctl.ControllerGains:
-    boundary = config.control.boundary if config.control.boundary > 0 else None
-    return ctl.ControllerGains(config.control.vel_gain,
-                               config.control.robust_gain, boundary)
+    return ctl.RbfNetwork.latin_hypercube(lo, hi, config.control,
+                                          derive_seed(config.sim.seed, 23))
 
 
 def build_setup(config: PipelineConfig, contact: dyn.BeltContact, x_d, q0,
                 duration: float, force_noise: float, noise_seed: int) -> SandingSetup:
     """Regulation to the pose x_d and the config's force setpoint against
-    ``contact``, starting at rest in q0."""
+    ``contact``, starting at rest in q0.  The gains are a copy of
+    config.control, so changing them leaves the config unchanged."""
     return SandingSetup(
-        model=config.robot, spec=config.impedance, gains=build_gains(config),
+        model=config.robot, spec=config.impedance, gains=copy.copy(config.control),
         net=build_network(config), contact=contact, x_d=x_d,
         f_d=np.array([config.setpoint.force, 0.0, 0.0]),
         q0=q0, duration=duration,
         dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
-        force_noise=force_noise, noise_seed=noise_seed,
-        pinv_damping=config.control.pinv_damping)
+        force_noise=force_noise, noise_seed=noise_seed)
 
 
 def nominal_setup(config: PipelineConfig, duration: float = 10.0,
@@ -299,16 +284,6 @@ def nominal_setup(config: PipelineConfig, duration: float = 10.0,
 
 # --- scanning helpers ------------------------------------------------------------
 
-def scan_params(config: PipelineConfig, roughness, sensor_seed: int) -> pc.ScanParams:
-    sc = config.scanner
-    return pc.ScanParams(density=sc.density, depth_noise=sc.depth_noise,
-                         view_dir=sc.view_dir,
-                         surface_seed=derive_seed(config.sim.seed, 5),
-                         sensor_seed=sensor_seed, roughness=roughness,
-                         intensity_base=sc.intensity_base,
-                         intensity_slope=sc.intensity_slope, speckle=sc.speckle)
-
-
 def field_bounds(config: PipelineConfig):
     r = config.object.mean_radius + config.object.radius_variation \
         + config.scanner.field_margin
@@ -319,11 +294,11 @@ def field_bounds(config: PipelineConfig):
 def scan_view(config: PipelineConfig, mesh: ConvexShape, roughness,
               angle: float, sensor_seed: int) -> pc.PointCloud:
     """One structured-light view of the rotated object plus the static holder."""
-    pose = RigidTransform.rotation_z(angle)
-    params = scan_params(config, roughness, sensor_seed)
-    cloud = pc.synthetic_scan(mesh, pose, params)
+    surface_seed = derive_seed(config.sim.seed, 5)
+    cloud = pc.synthetic_scan(mesh, RigidTransform.rotation_z(angle), config.scanner,
+                              surface_seed, sensor_seed, roughness)
     holder = pc.synthetic_scan(build_holder(), RigidTransform.identity(),
-                               scan_params(config, 0.0, sensor_seed + 1))
+                               config.scanner, surface_seed, sensor_seed + 1)
     pts = np.vstack([cloud.points, holder.points])
     inten = np.concatenate([cloud.intensity, holder.intensity])
     return pc.PointCloud(pts, inten)
@@ -343,7 +318,8 @@ def scan_face(config: PipelineConfig, mesh: ConvexShape, roughness,
     """Rescan with the face turned toward the camera, cropped to that face."""
     psi, _ = face_geometry(mesh, face)
     pose = RigidTransform.rotation_z(-psi)
-    cloud = pc.synthetic_scan(mesh, pose, scan_params(config, roughness, sensor_seed))
+    cloud = pc.synthetic_scan(mesh, pose, config.scanner,
+                              derive_seed(config.sim.seed, 5), sensor_seed, roughness)
     return crop_to_face(cloud, pose, mesh, face)
 
 
@@ -448,8 +424,7 @@ def _scan_stage(config, cell, out):
 @_stage("model")
 def _model_stage(config, scans, angles, out):
     out.mkdir(parents=True, exist_ok=True)
-    model_cloud = pc.merge_scans(scans, angles, icp_params=config.icp,
-                                 sor_k=config.sor.k, sor_alpha=config.sor.alpha)
+    model_cloud = pc.merge_scans(scans, angles, config.icp, config.sor)
     pc.save_ply(model_cloud, out / "model.ply")
     return model_cloud
 

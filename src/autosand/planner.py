@@ -178,6 +178,17 @@ class GaParams:
 
 
 @dataclass
+class PlannerConfig:
+    task_step: float = 0.005
+    retreat_step: float = 0.02
+    retreat_max: float = 0.10
+    max_rule_repairs: int = 4
+    sample_budget: int = 200
+    straight_line_cost: bool = False   # GA fitness from straight segments instead of planned paths
+    sample_dt: float = 0.01
+
+
+@dataclass
 class PlannerContext:
     """World model for collision checking: static obstacles plus the payload
     shape rigidly attached to the end effector."""
@@ -186,11 +197,7 @@ class PlannerContext:
     payload: ConvexShape
     obstacles: list = field(default_factory=list)  # (ConvexShape, RigidTransform)
     belt_normal: np.ndarray = (1.0, 0.0, 0.0)
-    task_step: float = 0.005
-    retreat_step: float = 0.02
-    retreat_max: float = 0.10
-    max_rule_repairs: int = 4
-    sample_budget: int = 200
+    params: PlannerConfig = field(default_factory=PlannerConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -211,12 +218,12 @@ class PlannerContext:
 
     def segment_samples(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         """Interpolation fine enough that task-space motion per step stays
-        below task_step (conservative sweep bound)."""
+        below params.task_step (conservative sweep bound)."""
         l1, l2 = self.model.link_lengths
         reach = float(np.abs(self.payload.vertices[:, :2]).max())
         gain = np.array([1.0, 1.0, l1 + l2 + reach, l2 + reach])
         travel = float(gain @ np.abs(qb - qa))
-        n = max(2, int(np.ceil(travel / self.task_step)) + 1)
+        n = max(2, int(np.ceil(travel / self.params.task_step)) + 1)
         return np.linspace(qa, qb, n)
 
     def broad_phase(self, qs: np.ndarray) -> np.ndarray:
@@ -277,9 +284,9 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
 
     def retreat_candidates(q):
         jac_pinv = pseudo_inverse(jacobian(ctx.model, q))
-        steps = int(round(ctx.retreat_max / ctx.retreat_step))
+        steps = int(round(ctx.params.retreat_max / ctx.params.retreat_step))
         for k in range(1, steps + 1):
-            shift = -ctx.belt_normal * (k * ctx.retreat_step)
+            shift = -ctx.belt_normal * (k * ctx.params.retreat_step)
             yield q + jac_pinv @ shift
 
     def connect(qa, qb, repairs_left):
@@ -298,7 +305,7 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
                 return left[:-1] + right
         rng = np.random.default_rng(ctx.seed)
         lim = ctx.model.joint_limits
-        for _ in range(ctx.sample_budget):
+        for _ in range(ctx.params.sample_budget):
             via = rng.uniform(lim[:, 0], lim[:, 1])
             if ctx.in_collision(via):
                 continue
@@ -306,7 +313,7 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
                 return [qa, via, qb]
         raise NoPathFound("repair rules and sampling budget exhausted")
 
-    waypoints = connect(q_start, q_goal, ctx.max_rule_repairs)
+    waypoints = connect(q_start, q_goal, ctx.params.max_rule_repairs)
     deduped = [waypoints[0]]
     for w in waypoints[1:]:
         if np.linalg.norm(w - deduped[-1]) > 0.0:

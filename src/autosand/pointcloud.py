@@ -69,37 +69,33 @@ class QualityReport:
 
 
 @dataclass
-class ScanParams:
-    """Knobs of the synthetic scanner.
-
-    surface_seed fixes the material sample points (object identity);
-    sensor_seed fixes the per-view depth noise.  roughness is the per-face
-    RMS surface texture in metres (scalar broadcasts over faces); it displaces
-    samples along the face normal and darkens the returned intensity.
-    """
+class ScannerConfig:
+    """Knobs of the synthetic scanner.  view_dir is the viewing ray in the
+    world frame; synthetic_scan normalises it."""
 
     density: float = 2e5
     depth_noise: float = 2e-4
-    view_dir: np.ndarray = (-1.0, 0.0, 0.0)
-    surface_seed: int = 0
-    sensor_seed: int = 0
-    roughness: float | np.ndarray = 0.0
+    view_dir: tuple = (-1.0, 0.0, -0.45)
+    n_views: int = 4
     intensity_base: float = 0.88
     intensity_slope: float = 250.0
     speckle: float = 0.05
+    field_margin: float = 0.05     # box half-width around the object for the field filter
 
     def __post_init__(self):
-        self.view_dir = np.asarray(self.view_dir, dtype=float).reshape(3)
-        self.view_dir = self.view_dir / np.linalg.norm(self.view_dir)
+        v = np.asarray(self.view_dir, dtype=float)
+        if v.shape != (3,) or not np.isfinite(v).all() or not v.any():
+            raise ValueError("scanner view_dir must be a finite, non-zero 3-vector")
 
 
-def _face_samples(mesh: ConvexShape, face: int, params: ScanParams):
+def _face_samples(mesh: ConvexShape, face: int, scanner: ScannerConfig,
+                  surface_seed: int, roughness):
     """Deterministic material points with texture displacement and reflectance."""
-    rough = np.broadcast_to(np.asarray(params.roughness, dtype=float),
+    rough = np.broadcast_to(np.asarray(roughness, dtype=float),
                             (len(mesh.faces),))[face]
     area = mesh.face_area(face)
-    n_pts = max(1, int(round(params.density * area)))
-    rng = np.random.default_rng(np.random.SeedSequence((params.surface_seed, face)))
+    n_pts = max(1, int(round(scanner.density * area)))
+    rng = np.random.default_rng(np.random.SeedSequence((surface_seed, face)))
     tris = mesh.face_triangles(face)
     areas = np.array([0.5 * np.linalg.norm(np.cross(b - a, c - a)) for a, b, c in tris])
     pick = rng.choice(len(tris), size=n_pts, p=areas / areas.sum())
@@ -112,33 +108,39 @@ def _face_samples(mesh: ConvexShape, face: int, params: ScanParams):
         + (r1 * r2)[:, None] * tri[:, 2]
     normal = mesh.face_normal(face)
     pts = pts + (rough * texture)[:, None] * normal
-    inten = params.intensity_base - params.intensity_slope * rough \
-        + params.speckle * speckle
+    inten = scanner.intensity_base - scanner.intensity_slope * rough \
+        + scanner.speckle * speckle
     return pts, np.clip(inten, 0.0, 1.0)
 
 
-def synthetic_scan(mesh: ConvexShape, pose: RigidTransform,
-                   params: ScanParams) -> PointCloud:
-    """Scan the posed mesh from the configured view direction.
+def synthetic_scan(mesh: ConvexShape, pose: RigidTransform, scanner: ScannerConfig,
+                   surface_seed: int, sensor_seed: int, roughness=0.0) -> PointCloud:
+    """Scan the posed mesh from the scanner's view direction.
 
+    surface_seed fixes the material sample points (object identity);
+    sensor_seed fixes the per-view depth noise.  roughness is the per-face
+    RMS surface texture in metres (scalar broadcasts over faces); it displaces
+    samples along the face normal and darkens the returned intensity.
     Faces whose outward normals point toward the camera are sampled; depth
     noise is added along the viewing ray in the world frame.
     """
+    view_dir = np.asarray(scanner.view_dir, dtype=float)
+    view_dir = view_dir / np.linalg.norm(view_dir)
     visible = [i for i in range(len(mesh.faces))
-               if (pose.rotation @ mesh.face_normal(i)) @ params.view_dir < -1e-9]
+               if (pose.rotation @ mesh.face_normal(i)) @ view_dir < -1e-9]
     if not visible:
         raise EmptyScan("no face visible from the given pose")
     pts_all, inten_all = [], []
     for i in visible:
-        pts, inten = _face_samples(mesh, i, params)
+        pts, inten = _face_samples(mesh, i, scanner, surface_seed, roughness)
         pts_all.append(pose.apply(pts))
         inten_all.append(inten)
     pts = np.vstack(pts_all)
     inten = np.concatenate(inten_all)
-    if params.depth_noise > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence((params.sensor_seed, 0xD)))
-        pts = pts + rng.standard_normal(len(pts))[:, None] * params.depth_noise \
-            * params.view_dir
+    if scanner.depth_noise > 0.0:
+        rng = np.random.default_rng(np.random.SeedSequence((sensor_seed, 0xD)))
+        pts = pts + rng.standard_normal(len(pts))[:, None] * scanner.depth_noise \
+            * view_dir
     return PointCloud(pts, inten)
 
 
@@ -269,17 +271,24 @@ def register_sequence(scans, commanded_angles, params: IcpParams | None = None):
     return transforms
 
 
-def merge_scans(scans, commanded_angles, icp_params: IcpParams | None = None,
-                sor_k: int = 50, sor_alpha: float = 1.0) -> PointCloud:
+@dataclass
+class SorConfig:
+    k: int = 50
+    alpha: float = 1.0
+
+
+def merge_scans(scans, commanded_angles, icp: IcpParams | None = None,
+                sor: SorConfig | None = None) -> PointCloud:
     """Fuse rotated views into one model cloud in the first view's frame."""
-    transforms = register_sequence(scans, commanded_angles, params=icp_params)
+    sor = sor or SorConfig()
+    transforms = register_sequence(scans, commanded_angles, params=icp)
     pts = np.vstack([tf.apply(s.points) for tf, s in zip(transforms, scans)])
     if all(s.intensity is not None for s in scans):
         inten = np.concatenate([s.intensity for s in scans])
     else:
         inten = None
     merged = PointCloud(pts, inten)
-    return sor_filter(merged, k=sor_k, alpha=sor_alpha)
+    return sor_filter(merged, k=sor.k, alpha=sor.alpha)
 
 
 @dataclass

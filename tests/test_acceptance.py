@@ -114,9 +114,9 @@ def test_criterion_4_dynamics_properties(config):
 def test_criterion_5_icp_recovery():
     mesh = box((0.2, 0.2, 0.2))
     src = pc.synthetic_scan(mesh, RigidTransform.identity(),
-                            pc.ScanParams(density=2e5, depth_noise=0.0,
-                                          view_dir=(-1, -0.3, -0.5),
-                                          surface_seed=5))
+                            pc.ScannerConfig(density=2e5, depth_noise=0.0,
+                                             view_dir=(-1, -0.3, -0.5)),
+                            surface_seed=5, sensor_seed=0)
     truth = RigidTransform.rotation_z(math.radians(10.0), (0.01, 0.02, 0.0))
     tf, _ = pc.icp_register(src, src.transformed(truth))
     clean_ok = (np.abs(tf.rotation - truth.rotation).max() < 1e-6

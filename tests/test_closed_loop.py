@@ -36,9 +36,7 @@ def free_space_setup(config, duration=6.0, robust_gain=None, disturbance=None):
     setup.f_d = np.zeros(3)
     setup.disturbance = disturbance
     if robust_gain is not None:
-        gains = harness.build_gains(config)
-        gains.robust_gain = robust_gain
-        setup.gains = gains
+        setup.gains.robust_gain = robust_gain
     return setup
 
 

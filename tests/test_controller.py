@@ -107,7 +107,7 @@ class TestRbfActivation:
 
     def test_latin_hypercube_layout(self):
         net = ctl.RbfNetwork.latin_hypercube(np.full(16, -1.0), np.full(16, 1.0),
-                                             n_centers=64, seed=3)
+                                             ctl.ControlConfig(n_centers=64), seed=3)
         assert net.centers.shape == (64, 16)
         assert (net.centers >= -1.0).all() and (net.centers <= 1.0).all()
         # one sample per stratum along every dimension
@@ -120,7 +120,7 @@ class TestRbfActivation:
 class TestControlLaw:
     def test_sign_of_zero_is_zero(self):
         net = make_net()
-        gains = ctl.ControllerGains(10.0, 20.0, boundary=None)
+        gains = ctl.ControlConfig(10.0, 20.0, boundary=0.0)
         theta = np.ones(len(net.centers))
         w = net.weights @ theta
         tau = np.array([1.0, -2.0, 3.0, -4.0])
@@ -130,7 +130,7 @@ class TestControlLaw:
     def test_headline_gains_exact_sign(self):
         net = make_net()
         net.weights[:] = 0.0
-        gains = ctl.ControllerGains(10.0, 20.0, boundary=None)
+        gains = ctl.ControlConfig(10.0, 20.0, boundary=0.0)
         u = ctl.control_law(gains, net, np.array([0.1, 0, 0, 0]),
                             np.zeros(len(net.centers)), np.zeros(4))
         assert u == pytest.approx([-21.0, 0.0, 0.0, 0.0])
@@ -139,8 +139,8 @@ class TestControlLaw:
         net = make_net()
         net.weights[:] = 0.0
         theta = np.zeros(len(net.centers))
-        for gains in (ctl.ControllerGains(10.0, 20.0, None),
-                      ctl.ControllerGains(10.0, 20.0, 0.05)):
+        for gains in (ctl.ControlConfig(10.0, 20.0, 0.0),
+                      ctl.ControlConfig(10.0, 20.0, 0.05)):
             for _ in range(20):
                 zq = rng.standard_normal(4)
                 u_pos = ctl.control_law(gains, net, zq, theta, np.zeros(4))
@@ -149,13 +149,13 @@ class TestControlLaw:
 
     def test_bounded_output(self, rng):
         net = make_net()
-        gains = ctl.ControllerGains(10.0, 20.0, boundary=0.05)
+        gains = ctl.ControlConfig(10.0, 20.0, boundary=0.05)
         for _ in range(50):
             zq = rng.uniform(-5, 5, 4)
             theta = rng.uniform(0, 1, len(net.centers))
             tau = rng.uniform(-30, 30, 4)
             u = ctl.control_law(gains, net, zq, theta, tau)
-            bound = (gains.vel_gain.max() * np.abs(zq).max()
+            bound = (gains.vel_gain * np.abs(zq).max()
                      + np.abs(net.weights @ theta).max()
                      + gains.robust_gain + np.abs(tau).max())
             assert np.abs(u).max() <= bound + 1e-12
@@ -236,11 +236,11 @@ class TestLyapunovMonitor:
 class TestValidation:
     def test_gains(self):
         with pytest.raises(ValueError):
-            ctl.ControllerGains(vel_gain=0.0)
+            ctl.ControlConfig(vel_gain=0.0)
         with pytest.raises(ValueError):
-            ctl.ControllerGains(robust_gain=-1.0)
+            ctl.ControlConfig(robust_gain=-1.0)
         with pytest.raises(ValueError):
-            ctl.ControllerGains(boundary=0.0)
+            ctl.ControlConfig(boundary=-0.05)
 
     def test_network(self):
         with pytest.raises(ValueError):

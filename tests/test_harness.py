@@ -1,6 +1,7 @@
 """Pipeline orchestration: configuration, determinism, quality gating, CLI."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -21,6 +22,15 @@ from autosand import pointcloud as pc
 from autosand.config import PipelineConfig, from_ini, load_config, save_config, to_ini
 
 PIPELINE_REFERENCE = Path(__file__).parent / "data" / "pipeline_ref.json"
+
+# Malformed INI files that must be rejected when they load.
+BAD_INI = (
+    "[contact]\nbananas = 7\n",                # unknown key
+    "[contorl]\nvel_gain = 5\n",               # unknown section
+    "[pipeline]\nquality_gate = treu\n",       # not a boolean
+    "[pipeline]\nhome = -0.6, 0.3\n",          # vector of the wrong length
+)
+
 
 def small_config(**overrides):
     """Cut-down workcell: fewer faces, short sanding, light scanner and GA."""
@@ -86,8 +96,9 @@ class TestConfigFile:
         assert cfg.object.sides == 4
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            from_ini("[contact]\nbananas = 7\n")
+        for text in BAD_INI:
+            with pytest.raises(ValueError):
+                from_ini(text)
 
     def test_default_ini_matches_defaults(self):
         path = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
@@ -233,6 +244,14 @@ class TestQualityGate:
         assert positions == list(range(len(report.faces)))
 
 
+class TestBuildSetup:
+    def test_gains_do_not_alias_the_config(self):
+        config = PipelineConfig()
+        setup = harness.nominal_setup(config, duration=0.1)
+        setup.gains.robust_gain = 0.0
+        assert config.control == PipelineConfig().control
+
+
 class TestSandingPhaseEdges:
     def test_report_written_on_stage_failure(self, tmp_path):
         cfg = small_config(**{"pipeline.home": (-0.3, 0.0, 0.0, 0.0)})
@@ -275,13 +294,19 @@ class TestCli:
             assert path.read_bytes() == (small_run["out"] / rel).read_bytes(), rel
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[contact]\nbananas = 7\n")
-        for path in (bad, tmp_path / "missing.ini"):
-            assert cli.main(["run", "--config", str(path),
-                             "--out", str(tmp_path / "run")]) == 1
+        """Each bad config exits 1 at load, before any stage writes a file."""
+        texts = BAD_INI + ("[control]\nvel_gain = 0\n",
+                           "[scanner]\nview_dir = 0, 0, 0\n")
+        paths = [tmp_path / "missing.ini"]
+        for k, text in enumerate(texts):
+            paths.append(tmp_path / f"bad{k}.ini")
+            paths[-1].write_text(text)
+        out = tmp_path / "run"
+        for path in paths:
+            assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and err.startswith("error:")
+            assert err.count("\n") == 1 and err.startswith("error:"), (path, err)
+            assert not (out / "scans").exists()
 
     def test_unknown_face_exit_code(self, tmp_path, capsys):
         assert cli.main(["sand", "--out", str(tmp_path), "--face", "99"]) == 1
@@ -445,6 +470,30 @@ class TestUnusedDefinitions:
             qualname for qualname, name, path, lineno in src_definitions()
             if words[name] == re.findall(r"\w+", lines[path][lineno - 1]).count(name))
         assert unused == sorted(UNUSED_ALLOWED)
+
+
+class TestConfigFieldsRead:
+    def test_every_config_field_is_read(self):
+        """Every field of every PipelineConfig section is read as an attribute
+        somewhere in src/autosand, not counting the checks in __post_init__."""
+        reads = set()
+
+        def visit(node):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef) and child.name == "__post_init__":
+                    continue
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    reads.add(child.attr)
+                visit(child)
+
+        for path in (REPO / "src" / "autosand").glob("*.py"):
+            visit(ast.parse(path.read_text()))
+        config = PipelineConfig()
+        unread = [f"{section.name}.{f.name}"
+                  for section in dataclasses.fields(config)
+                  for f in dataclasses.fields(getattr(config, section.name))
+                  if f.name not in reads]
+        assert unread == []
 
 
 class TestCsvFormat:

@@ -108,8 +108,8 @@ class TestPlanSingleQuery:
         # every candidate route crosses it and the budget runs out
         wall = box((0.2, 4.0, 4.0), center=(-0.1, 0.0, 0.0))
         ctx = planner_context([wall])
-        ctx.sample_budget = 5
-        ctx.max_rule_repairs = 1
+        ctx.params.sample_budget = 5
+        ctx.params.max_rule_repairs = 1
         start = np.array([-0.95, -0.3, 0.0, 0.0])   # end effector at x -0.45
         goal = np.array([-0.2, 0.3, 0.0, 0.0])      # end effector at x +0.30
         assert not ctx.in_collision(start) and not ctx.in_collision(goal)

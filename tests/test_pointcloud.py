@@ -18,10 +18,9 @@ REFERENCE = Path(__file__).parent / "data" / "registration_ref.npz"
 
 def scan(mesh, angle=0.0, *, density=2e5, noise=0.0, view=(-1.0, -0.3, -0.5),
          surface_seed=7, sensor_seed=0, roughness=0.0):
-    params = pc.ScanParams(density=density, depth_noise=noise, view_dir=view,
-                           surface_seed=surface_seed, sensor_seed=sensor_seed,
-                           roughness=roughness)
-    return pc.synthetic_scan(mesh, geo.RigidTransform.rotation_z(angle), params)
+    scanner = pc.ScannerConfig(density=density, depth_noise=noise, view_dir=view)
+    return pc.synthetic_scan(mesh, geo.RigidTransform.rotation_z(angle), scanner,
+                             surface_seed, sensor_seed, roughness)
 
 
 def registration_reference() -> dict:
@@ -93,15 +92,14 @@ class TestRigidTransform:
 class TestSyntheticScan:
     def test_cube_diagonal_view(self):
         cube = geo.box((1.0, 1.0, 1.0))
-        params = pc.ScanParams(density=1e4, depth_noise=2e-4,
-                               view_dir=(-1, -1, -1), surface_seed=3, sensor_seed=4)
-        cloud = pc.synthetic_scan(cube, geo.RigidTransform.identity(), params)
+        scanner = pc.ScannerConfig(density=1e4, depth_noise=2e-4, view_dir=(-1, -1, -1))
+        cloud = pc.synthetic_scan(cube, geo.RigidTransform.identity(), scanner, 3, 4)
         visible = [i for i in range(6)
-                   if cube.face_normal(i) @ params.view_dir < 0]
+                   if cube.face_normal(i) @ scanner.view_dir < 0]
         assert len(visible) == 3
         assert len(cloud) == pytest.approx(3e4, rel=0.01)
         dist = geo.point_mesh_distance(cloud.points, cube)
-        assert dist.max() < 3 * params.depth_noise
+        assert dist.max() < 3 * scanner.depth_noise
 
     def test_deterministic(self):
         cube = geo.box((1.0, 1.0, 1.0))
@@ -119,9 +117,9 @@ class TestSyntheticScan:
         # open shape: one face only, viewed from behind
         verts = np.array([[0, -1, -1], [0, 1, -1], [0, 1, 1], [0, -1, 1.0]])
         sheet = geo.ConvexShape(verts, faces=((0, 1, 2, 3),))
-        params = pc.ScanParams(view_dir=(1.0, 0, 0))  # looking at its back
+        scanner = pc.ScannerConfig(view_dir=(1.0, 0, 0))  # looking at its back
         with pytest.raises(pc.EmptyScan):
-            pc.synthetic_scan(sheet, geo.RigidTransform.identity(), params)
+            pc.synthetic_scan(sheet, geo.RigidTransform.identity(), scanner, 0, 0)
 
     def test_shared_material_points_across_views(self):
         # the same physical face must contribute identical surface samples in
