@@ -22,7 +22,7 @@ def run_variant(name, config, out_dir, robust_gain=None, learn_rate=None,
     if robust_gain is not None:
         setup.gains.robust_gain = robust_gain
     if learn_rate is not None:
-        setup.net.learn_rates[:] = learn_rate
+        setup.net.learn_rate = learn_rate
     if stiffness_scale != 1.0:
         setup.contact.stiffness *= stiffness_scale
         setup.contact.damping *= stiffness_scale

@@ -95,8 +95,7 @@ def cmd_sand(args) -> int:
     out = Path(args.out)
     if args.face is None:
         setup = harness.nominal_setup(config, duration=args.duration or 10.0)
-        result = harness.simulate_sanding(setup, config.sim.transient,
-                                          config.sim.tail_fraction)
+        result = harness.simulate_sanding(setup)
         out.mkdir(parents=True, exist_ok=True)
         harness.write_csv(out / "sand_nominal.csv", harness.LOG_COLUMNS, result.log)
     else:

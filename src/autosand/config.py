@@ -49,6 +49,10 @@ class ObjectConfig:
     roughness: float = 4e-4
     removal_rate: float = 0.6      # roughness multiplier is 1 - removal_rate * force quality
 
+    def __post_init__(self):
+        if not self.sides >= 3:
+            raise ValueError("object sides must be at least 3")
+
     def radii(self) -> np.ndarray:
         k = np.arange(self.sides)
         return self.mean_radius + self.radius_variation * np.cos(
@@ -96,11 +100,6 @@ class PipelineConfig:
             raise ValueError("dt_control must be an integer multiple of dt_physics")
 
 
-_SKIP_FIELDS = {
-    "impedance": {"track_rate", "filter_rate"},
-}
-
-
 def _format_value(value) -> str:
     if isinstance(value, (np.ndarray, tuple, list)):
         return ", ".join(f"{v:.12g}" if isinstance(v, float) or isinstance(v, np.floating)
@@ -136,14 +135,10 @@ def _parse_like(text: str, template):
 
 def to_ini(config: PipelineConfig) -> str:
     parser = configparser.ConfigParser()
-    for section_field in dataclasses.fields(config):
-        section = section_field.name
-        sub = getattr(config, section)
-        parser[section] = {}
-        for f in dataclasses.fields(sub):
-            if f.name in _SKIP_FIELDS.get(section, ()):
-                continue
-            parser[section][f.name] = _format_value(getattr(sub, f.name))
+    for section in dataclasses.fields(config):
+        sub = getattr(config, section.name)
+        parser[section.name] = {f.name: _format_value(getattr(sub, f.name))
+                                for f in dataclasses.fields(sub) if f.init}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -165,8 +160,7 @@ def from_ini(text: str) -> PipelineConfig:
             kwargs[section] = sub_default
             continue
         sub_kwargs = {}
-        valid = {f.name for f in dataclasses.fields(sub_default)
-                 if f.name not in _SKIP_FIELDS.get(section, ())}
+        valid = {f.name for f in dataclasses.fields(sub_default) if f.init}
         for key, raw in parser[section].items():
             if key not in valid:
                 raise ValueError(f"unknown key [{section}] {key}")

@@ -9,7 +9,7 @@ form 0.5 z^T M z must not grow once the transient has died out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,36 +24,28 @@ class InsufficientData(Exception):
 class RbfNetwork:
     """Gaussian radial-basis network over the 16-dim controller input.
 
-    weights holds one output row per joint; learn_rates are the diagonal
-    entries of the per-joint positive-definite adaptation gains.
+    weights holds one output row per joint and starts at zero; every basis
+    function has the same width, and every weight the same adaptation gain.
     """
 
     centers: np.ndarray
-    widths: np.ndarray
-    weights: np.ndarray = None
-    learn_rates: np.ndarray = 50.0
+    width: float
+    learn_rate: float
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float)
-        n = len(self.centers)
-        self.widths = np.broadcast_to(np.asarray(self.widths, dtype=float), (n,)).copy()
-        if self.weights is None:
-            self.weights = np.zeros((4, n))
-        self.weights = np.asarray(self.weights, dtype=float).reshape(4, n)
-        self.learn_rates = np.broadcast_to(
-            np.asarray(self.learn_rates, dtype=float), (4, n)).copy()
-        if (self.widths <= 0).any():
-            raise ValueError("widths must be positive")
-        if (self.learn_rates < 0).any():
-            raise ValueError("learn rates must be non-negative")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
+        self.weights = np.zeros((4, len(self.centers)))
+        if not self.width > 0:
+            raise ValueError("width must be positive")
+        if not self.learn_rate >= 0:
+            raise ValueError("learn rate must be non-negative")
 
     @classmethod
     def latin_hypercube(cls, low, high, control: ControlConfig, seed: int) -> "RbfNetwork":
         """Spread centers over the operating box by Latin-hypercube sampling.
 
-        Widths are set to the median inter-center distance (scaled), which keeps
+        The width is the median inter-center distance (scaled), which keeps
         every basis function active somewhere in the box.
         """
         n_centers = control.n_centers
@@ -67,7 +59,7 @@ class RbfNetwork:
         diff = centers[:, None, :] - centers[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
         width = control.width_scale * np.median(dist[np.triu_indices(n_centers, 1)])
-        return cls(centers, width, learn_rates=control.learn_rate)
+        return cls(centers, float(width), control.learn_rate)
 
 
 @dataclass
@@ -111,7 +103,9 @@ def rbf_activation(net: RbfNetwork, q, qdot, qdot_ref, qddot_ref) -> np.ndarray:
     inp = np.concatenate([np.asarray(v, dtype=float).reshape(-1)
                           for v in (q, qdot, qdot_ref, qddot_ref)])
     d2 = ((net.centers - inp) ** 2).sum(axis=1)
-    return np.exp(-d2 / (2.0 * net.widths ** 2))
+    # a float's ** 2 calls libm pow, which rounds some squares differently
+    # from the product
+    return np.exp(-d2 / (2.0 * (net.width * net.width)))
 
 
 def _switch(vel_err: np.ndarray, boundary: float) -> np.ndarray:
@@ -144,7 +138,14 @@ def weight_update(net: RbfNetwork, theta: np.ndarray, vel_err: np.ndarray,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     vel_err = np.asarray(vel_err, dtype=float)
-    net.weights -= dt * (net.learn_rates * theta[None, :]) * vel_err[:, None]
+    net.weights -= dt * (net.learn_rate * theta)[None, :] * vel_err[:, None]
+
+
+# The descent monitor's moving-average window [s], the |zq| below which a run
+# counts as settled, and the allowed rise relative to the smoothed peak.
+WINDOW = 0.5
+SETTLE_THRESHOLD = 1e-2
+RISE_TOL = 1e-3
 
 
 @dataclass
@@ -152,33 +153,27 @@ class DescentReport:
     passed: bool | None             # None: the run is shorter than the window
     settle_time: float | None
     max_rise: float | None
-    v_obs: np.ndarray
     smoothed: np.ndarray
 
 
-def lyapunov_monitor(times, vel_errors, mass_matrices, window: float = 0.5,
-                     transient: float = 1.0, settle_threshold: float = 1e-2,
-                     rise_tol: float = 1e-3) -> DescentReport:
+def lyapunov_monitor(times, vel_errors, v_obs, transient: float = 1.0) -> DescentReport:
     """Check the observable descent condition along a closed-loop run.
 
-    Computes v = 0.5 z^T M z per sample, smooths it with a moving average of
-    the given window, and requires the smoothed curve never to climb more than
-    rise_tol times its post-transient peak above its running minimum.  The
-    weight-error part of the full storage function is unobservable (the ideal
-    weights are unknown), so only this necessary consequence is tested.  A
-    run shorter than the window is not evaluated: ``passed`` and
-    ``max_rise`` are None.
-    Also reports the first time |z| settles below settle_threshold for good.
+    v_obs holds v = 0.5 z^T M z per sample, as the run logged it.  The monitor
+    smooths it with a moving average over WINDOW and requires the smoothed
+    curve never to climb more than RISE_TOL times its peak above its running
+    minimum once the transient has passed.  The weight-error part of the full
+    storage function is unobservable (the ideal weights are unknown), so only
+    this necessary consequence is tested.  A run shorter than the window is
+    not evaluated: ``passed`` and ``max_rise`` are None.
+    Also reports the first time |z| settles below SETTLE_THRESHOLD for good.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise InsufficientData("need at least two samples")
     zq = np.asarray(vel_errors, dtype=float).reshape(len(times), -1)
-    mm = np.asarray(mass_matrices, dtype=float)
-    v_obs = 0.5 * np.einsum("ti,tij,tj->t", zq, mm, zq)
-
     norms = np.linalg.norm(zq, axis=1)
-    below = norms < settle_threshold
+    below = norms < SETTLE_THRESHOLD
     settle_time = None
     if below[-1]:
         idx = len(below) - 1
@@ -187,10 +182,10 @@ def lyapunov_monitor(times, vel_errors, mass_matrices, window: float = 0.5,
         settle_time = float(times[idx])
 
     dt = float(np.median(np.diff(times)))
-    win = max(1, int(round(window / dt)))
+    win = max(1, int(round(WINDOW / dt)))
     if len(v_obs) < win:
         # np.convolve's "valid" mode would swap the run and the kernel
-        return DescentReport(None, settle_time, None, v_obs, np.empty(0))
+        return DescentReport(None, settle_time, None, np.empty(0))
     kernel = np.ones(win) / win
     smoothed = np.convolve(v_obs, kernel, mode="valid")
     t_smooth = times[win - 1:]
@@ -198,9 +193,9 @@ def lyapunov_monitor(times, vel_errors, mass_matrices, window: float = 0.5,
     after = smoothed[t_smooth >= times[0] + transient]
     if len(after) < 2:
         after = smoothed
-    tol = rise_tol * max(smoothed.max(), np.finfo(float).tiny)
+    tol = RISE_TOL * max(smoothed.max(), np.finfo(float).tiny)
     running_min = np.minimum.accumulate(after)
     rises = after - running_min
     max_rise = float(rises.max())
     passed = bool(max_rise <= tol)
-    return DescentReport(passed, settle_time, max_rise, v_obs, smoothed)
+    return DescentReport(passed, settle_time, max_rise, smoothed)

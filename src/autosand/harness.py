@@ -67,17 +67,19 @@ class SandingSetup:
     f_d: np.ndarray
     q0: np.ndarray
     duration: float
-    dt_control: float = 1e-3
-    dt_physics: float = 1e-4
-    force_noise: float = 0.0
-    noise_seed: int = 0
+    dt_control: float
+    dt_physics: float
+    transient: float                # s before the descent monitor's verdict
+    tail_fraction: float            # final share of the run the steady values average
+    force_noise: float
+    noise_seed: int
     disturbance: object = None      # callable t -> joint torque, or None
 
 
 @dataclass
 class SandingResult:
-    times: np.ndarray
     log: np.ndarray                 # one row per control step, LOG_COLUMNS order
+    times: np.ndarray               # times, vel_errors and forces are views of log
     vel_errors: np.ndarray
     forces: np.ndarray
     task_errors: np.ndarray         # composite impedance error z per step
@@ -88,8 +90,7 @@ class SandingResult:
     monitor: ctl.DescentReport
 
 
-def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
-                     tail_fraction: float = 0.3) -> SandingResult:
+def simulate_sanding(setup: SandingSetup) -> SandingResult:
     """Run the adaptive impedance controller against the simulated arm.
 
     The controller runs at dt_control with zero-order hold; the plant
@@ -113,9 +114,6 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
     qdr_prev = None
 
     log = np.zeros((n_ctrl, len(LOG_COLUMNS)))
-    zq_hist = np.zeros((n_ctrl, 4))
-    m_hist = np.zeros((n_ctrl, 4, 4))
-    f_hist = np.zeros((n_ctrl, 3))
     z_hist = np.zeros((n_ctrl, 3))
 
     for i in range(n_ctrl):
@@ -145,9 +143,6 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
 
         mass, _, _ = dyn.dynamics_terms(model, q, qdot)
         v_obs = 0.5 * zq @ mass @ zq
-        zq_hist[i] = zq
-        m_hist[i] = mass
-        f_hist[i] = f_meas
         z_hist[i] = imp.impedance_error(dx, xdot, setup.spec, filt)
         log[i] = np.concatenate([[t], q, qdot, x, f_meas, zq, u, [w_norm, v_obs]])
 
@@ -157,16 +152,19 @@ def simulate_sanding(setup: SandingSetup, transient: float = 1.0,
                                external_torque=tau_ext, t=t)
             t += setup.dt_physics
 
+    col = LOG_COLUMNS.index
     times = log[:, 0]
-    tail = times >= (1.0 - tail_fraction) * setup.duration
-    after = times >= transient
+    forces = log[:, col("fe_x"):col("fe_t") + 1]
+    vel_errors = log[:, col("zq1"):col("zq4") + 1]
+    tail = times >= (1.0 - setup.tail_fraction) * setup.duration
+    after = times >= setup.transient
     normal = setup.contact.normal if setup.contact is not None else np.array([1.0, 0, 0])
-    steady_force = float((f_hist[tail] @ normal).mean())
+    steady_force = float((forces[tail] @ normal).mean())
     target = float(setup.f_d @ normal)
-    zq_norm = np.linalg.norm(zq_hist, axis=1)
-    monitor = ctl.lyapunov_monitor(times, zq_hist, m_hist, transient=transient)
+    zq_norm = np.linalg.norm(vel_errors, axis=1)
+    monitor = ctl.lyapunov_monitor(times, vel_errors, log[:, col("v_obs")], setup.transient)
     return SandingResult(
-        times=times, log=log, vel_errors=zq_hist, forces=f_hist, task_errors=z_hist,
+        log=log, times=times, vel_errors=vel_errors, forces=forces, task_errors=z_hist,
         steady_force=steady_force,
         steady_force_error=steady_force - target,
         max_zq_after_transient=float(zq_norm[after].max() if after.any() else zq_norm.max()),
@@ -191,7 +189,6 @@ class Workcell:
     stay 0); ``transits`` memoises planned paths by (from, to) task index.
     """
 
-    config: PipelineConfig
     mesh: ConvexShape
     face_ids: list
     tasks: list
@@ -237,7 +234,7 @@ def build_workcell(config: PipelineConfig) -> Workcell:
         seed=derive_seed(config.sim.seed, 11))
     roughness = np.zeros(len(mesh.faces))
     roughness[faces] = config.object.roughness
-    return Workcell(config, mesh, faces, tasks, belt_shape, ctx, roughness)
+    return Workcell(mesh, faces, tasks, belt_shape, ctx, roughness)
 
 
 def build_network(config: PipelineConfig) -> ctl.RbfNetwork:
@@ -260,6 +257,7 @@ def build_setup(config: PipelineConfig, contact: dyn.BeltContact, x_d, q0,
         f_d=np.array([config.setpoint.force, 0.0, 0.0]),
         q0=q0, duration=duration,
         dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
+        transient=config.sim.transient, tail_fraction=config.sim.tail_fraction,
         force_noise=force_noise, noise_seed=noise_seed)
 
 
@@ -503,7 +501,7 @@ def _sand_face(config, cell, task, attempt, out):
     setup = build_setup(config, contact, x_d, task.contact,
                         config.sim.sanding_duration, config.control.force_noise,
                         derive_seed(config.sim.seed, 13, task.face_id, attempt))
-    result = simulate_sanding(setup, config.sim.transient, config.sim.tail_fraction)
+    result = simulate_sanding(setup)
     (out / "faces").mkdir(parents=True, exist_ok=True)
     write_csv(out / "faces" / f"face{task.face_id:02d}_attempt{attempt}.csv",
               LOG_COLUMNS, result.log)

@@ -86,6 +86,8 @@ class ScannerConfig:
         v = np.asarray(self.view_dir, dtype=float)
         if v.shape != (3,) or not np.isfinite(v).all() or not v.any():
             raise ValueError("scanner view_dir must be a finite, non-zero 3-vector")
+        if not self.n_views >= 2:
+            raise ValueError("scanner n_views must be at least 2")
 
 
 def _face_samples(mesh: ConvexShape, face: int, scanner: ScannerConfig,
@@ -275,6 +277,10 @@ def register_sequence(scans, commanded_angles, params: IcpParams | None = None):
 class SorConfig:
     k: int = 50
     alpha: float = 1.0
+
+    def __post_init__(self):
+        if not self.k >= 1:
+            raise ValueError("sor k must be at least 1")
 
 
 def merge_scans(scans, commanded_angles, icp: IcpParams | None = None,

@@ -61,7 +61,7 @@ def test_criterion_2_impedance_vector_convergence(config, nominal_run):
     tail_ok = norms[t >= 0.7 * t[-1]].max() < 1e-2
 
     frozen_setup = harness.nominal_setup(config, duration=6.0, force_noise=0.0)
-    frozen_setup.net.learn_rates[:] = 0.0
+    frozen_setup.net.learn_rate = 0.0
     frozen = harness.simulate_sanding(frozen_setup)
     frozen_larger = frozen.mean_zq_tail > max(nominal_run.mean_zq_tail, 1e-2)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from autosand import controller as ctl
 from autosand import dynamics as dyn
 from autosand import harness
 from autosand.config import PipelineConfig
@@ -128,7 +129,7 @@ class TestImpedanceVectorConvergence:
     def test_adaptation_disabled_floor_is_larger(self, config, nominal_run):
         setup = harness.nominal_setup(config, duration=6.0, force_noise=0.0)
         setup.net = harness.build_network(config)
-        setup.net.learn_rates[:] = 0.0
+        setup.net.learn_rate = 0.0
         frozen = harness.simulate_sanding(setup)
         assert frozen.mean_zq_tail > 100 * nominal_run.mean_zq_tail
         assert frozen.mean_zq_tail > 1e-2
@@ -170,9 +171,20 @@ class TestLyapunovDescent:
         """A 0.15 s face, as in the short benchmark cells, is shorter than
         the monitor's 0.5 s window: no verdict, and no rise."""
         setup = harness.nominal_setup(config, duration=0.15, force_noise=0.0)
-        monitor = harness.simulate_sanding(setup).monitor
-        assert monitor.passed is None and monitor.max_rise is None
-        assert len(monitor.v_obs) == 150
+        result = harness.simulate_sanding(setup)
+        assert result.monitor.passed is None and result.monitor.max_rise is None
+        assert len(result.times) == 150 and len(result.monitor.smoothed) == 0
+
+    def test_monitor_reads_the_logged_record(self, config):
+        """The log is the run's one per-tick record: forces are a view of it,
+        and the monitor smooths the v_obs column the CSV carries, bit for bit."""
+        setup = harness.nominal_setup(config, duration=2.0, force_noise=0.1)
+        result = harness.simulate_sanding(setup)
+        assert np.shares_memory(result.forces, result.log)
+        win = round(ctl.WINDOW / setup.dt_control)
+        v_obs = result.log[:, harness.LOG_COLUMNS.index("v_obs")]
+        np.testing.assert_array_equal(
+            result.monitor.smoothed, np.convolve(v_obs, np.ones(win) / win, mode="valid"))
 
     def test_observable_storage_decays(self, nominal_run):
         smoothed = nominal_run.monitor.smoothed

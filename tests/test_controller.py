@@ -10,8 +10,8 @@ from autosand.impedance import ImpedanceSpec
 
 def make_net(n=8, learn_rate=2.0, seed=0):
     rng = np.random.default_rng(seed)
-    return ctl.RbfNetwork(centers=rng.uniform(-1, 1, (n, 16)), widths=1.0,
-                          learn_rates=learn_rate)
+    return ctl.RbfNetwork(centers=rng.uniform(-1, 1, (n, 16)), width=1.0,
+                          learn_rate=learn_rate)
 
 
 class TestReferenceVelocity:
@@ -96,7 +96,7 @@ class TestRbfActivation:
         centers = np.zeros((n, 16))
         centers[:, 0] = np.linspace(-math.pi, math.pi, n)
         spacing = centers[1, 0] - centers[0, 0]
-        net = ctl.RbfNetwork(centers, widths=spacing)
+        net = ctl.RbfNetwork(centers, width=spacing, learn_rate=0.0)
         grid = np.linspace(-math.pi, math.pi, 400)
         design = np.stack([
             ctl.rbf_activation(net, [s, 0, 0, 0], np.zeros(4), np.zeros(4),
@@ -114,7 +114,7 @@ class TestRbfActivation:
         for d in range(16):
             strata = np.floor((net.centers[:, d] + 1.0) / 2.0 * 64).astype(int)
             assert len(set(strata)) == 64
-        assert net.widths[0] > 0.0
+        assert net.width > 0.0
 
 
 class TestControlLaw:
@@ -171,8 +171,7 @@ class TestWeightUpdate:
         assert net.weights == pytest.approx(before)
 
     def test_single_step_value(self):
-        net = ctl.RbfNetwork(centers=np.zeros((1, 16)), widths=1.0,
-                             learn_rates=2.0)
+        net = ctl.RbfNetwork(centers=np.zeros((1, 16)), width=1.0, learn_rate=2.0)
         weights = net.weights
         ctl.weight_update(net, np.array([0.5]), np.array([1.0, 0, 0, 0]), 0.1)
         assert net.weights is weights
@@ -188,31 +187,33 @@ class TestWeightUpdate:
         assert other.weights[1] != pytest.approx(base.weights[1])
 
 
+def storage(zq):
+    """0.5 z^T M z with M the identity, one value per sample."""
+    return 0.5 * (zq * zq).sum(1)
+
+
 class TestLyapunovMonitor:
     def test_zero_history_passes(self):
         t = np.linspace(0, 5, 500)
         zq = np.zeros((500, 4))
-        mm = np.broadcast_to(np.eye(4), (500, 4, 4))
-        report = ctl.lyapunov_monitor(t, zq, mm)
+        report = ctl.lyapunov_monitor(t, zq, storage(zq))
         assert report.passed
-        assert report.v_obs == pytest.approx(np.zeros(500))
+        assert report.smoothed == pytest.approx(np.zeros(len(report.smoothed)))
 
     def test_exponential_decay(self):
         lam = 2.0
         t = np.arange(0, 8, 1e-2)
         z0 = np.array([1.0, -0.5, 0.3, 0.1])
         zq = z0[None, :] * np.exp(-lam * t)[:, None]
-        mm = np.broadcast_to(np.eye(4), (len(t), 4, 4))
-        report = ctl.lyapunov_monitor(t, zq, mm, settle_threshold=1e-2)
+        report = ctl.lyapunov_monitor(t, zq, storage(zq))
         assert report.passed
-        expected_settle = math.log(np.linalg.norm(z0) / 1e-2) / lam
+        expected_settle = math.log(np.linalg.norm(z0) / ctl.SETTLE_THRESHOLD) / lam
         assert report.settle_time == pytest.approx(expected_settle, abs=0.05)
 
     def test_growth_fails(self):
         t = np.arange(0, 8, 1e-2)
         zq = 1e-3 * np.exp(0.8 * t)[:, None] * np.ones(4)
-        mm = np.broadcast_to(np.eye(4), (len(t), 4, 4))
-        report = ctl.lyapunov_monitor(t, zq, mm)
+        report = ctl.lyapunov_monitor(t, zq, storage(zq))
         assert not report.passed
         assert report.settle_time is None
 
@@ -222,15 +223,14 @@ class TestLyapunovMonitor:
         a growing storage function; the verdict is None instead."""
         t = np.arange(150) * 1e-3
         zq = np.exp(20.0 * t)[:, None] * np.ones(4)
-        mm = np.broadcast_to(np.eye(4), (len(t), 4, 4))
-        report = ctl.lyapunov_monitor(t, zq, mm)
+        report = ctl.lyapunov_monitor(t, zq, storage(zq))
         assert report.passed is None and report.max_rise is None
-        assert len(report.v_obs) == 150 and len(report.smoothed) == 0
+        assert len(report.smoothed) == 0
         assert report.settle_time is None
 
     def test_insufficient_data(self):
         with pytest.raises(ctl.InsufficientData):
-            ctl.lyapunov_monitor([0.0], np.zeros((1, 4)), np.zeros((1, 4, 4)))
+            ctl.lyapunov_monitor([0.0], np.zeros((1, 4)), np.zeros(1))
 
 
 class TestValidation:
@@ -244,6 +244,8 @@ class TestValidation:
 
     def test_network(self):
         with pytest.raises(ValueError):
-            ctl.RbfNetwork(centers=np.zeros((4, 16)), widths=0.0)
+            ctl.RbfNetwork(centers=np.zeros((4, 16)), width=0.0, learn_rate=1.0)
+        with pytest.raises(ValueError):
+            ctl.RbfNetwork(centers=np.zeros((4, 16)), width=1.0, learn_rate=-1.0)
         with pytest.raises(ValueError):
             ctl.weight_update(make_net(), np.zeros(8), np.zeros(4), 0.0)

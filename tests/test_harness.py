@@ -296,7 +296,10 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path, capsys):
         """Each bad config exits 1 at load, before any stage writes a file."""
         texts = BAD_INI + ("[control]\nvel_gain = 0\n",
-                           "[scanner]\nview_dir = 0, 0, 0\n")
+                           "[scanner]\nview_dir = 0, 0, 0\n",
+                           "[sor]\nk = 0\n",
+                           "[scanner]\nn_views = 1\n",
+                           "[object]\nsides = 2\n")
         paths = [tmp_path / "missing.ini"]
         for k, text in enumerate(texts):
             paths.append(tmp_path / f"bad{k}.ini")
@@ -307,6 +310,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith("error:"), (path, err)
             assert not (out / "scans").exists()
+            assert not (out / "report.json").exists()
 
     def test_unknown_face_exit_code(self, tmp_path, capsys):
         assert cli.main(["sand", "--out", str(tmp_path), "--face", "99"]) == 1
@@ -576,13 +580,19 @@ class TestBlockWriters:
 
 class TestScripts:
     def test_sanding_convergence_variant(self, tmp_path):
-        """Runs one variant of the convergence script through its own entry point."""
+        """Runs the nominal variant, one learn_rate variant and one
+        stiffness_scale variant of the convergence script through its own
+        entry point."""
         path = Path(__file__).parents[1] / "scripts" / "sanding_convergence.py"
         spec = importlib.util.spec_from_file_location("sanding_convergence", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        result = script.run_variant("nominal", PipelineConfig(), tmp_path, duration=0.2)
-        lines = (tmp_path / "nominal.csv").read_text().splitlines()
-        assert lines[0] == ",".join(harness.LOG_COLUMNS)
-        assert len(lines) == 1 + 200
-        assert result.monitor is not None
+        for name, kwargs in (("nominal", {}),
+                             ("hot_adaptation", {"learn_rate": 60.0}),
+                             ("stiff_belt_x10", {"stiffness_scale": 10.0})):
+            result = script.run_variant(name, PipelineConfig(), tmp_path, duration=0.2,
+                                        **kwargs)
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            assert lines[0] == ",".join(harness.LOG_COLUMNS)
+            assert len(lines) == 1 + 200
+            assert result.monitor is not None
