@@ -446,11 +446,10 @@ def _sequence_stage(config, cell, out):
         return pln.path_cost(path, config.ga.weights)
 
     result = pln.ga_optimize_sequence(cell.tasks, config.ga, transition)
-    n = len(cell.tasks)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "cost_matrix.csv",
               [f"to_{t.face_id}" for t in cell.tasks],
-              np.vstack([[transition(-1, j) for j in range(n)], result.cost_matrix]))
+              np.vstack([result.home_cost, result.cost_matrix]))
     write_csv(out / "ga_history.csv", ["best", "mean"],
               np.stack([result.best_history, result.mean_history], axis=1))
     (out / "sequence.json").write_text(json.dumps(

@@ -12,7 +12,16 @@ of the segment's samples in one array pass and keeps only the samples whose
 world bounding box overlaps an obstacle's, widened by BROAD_MARGIN; a sample
 it drops cannot touch any obstacle.  The narrow phase runs the exact GJK test
 on the survivors in order, so the first colliding sample is the same one a
-sample-by-sample sweep would find.
+sample-by-sample sweep would find.  GJK's cross products go through _cross:
+np.cross's float operations in its order, bit for bit, without its overhead.
+
+The GA scores each generation in one array pass and breeds its children on
+Python lists, one scalar Generator draw per number: three tournament indices,
+a crossover coin (random(), the bits of uniform()), two cut points, a
+mutation coin, two swap positions.  Scalar and sized integers() calls read the
+same stream, so the search is bit for bit that of sized draws on arrays.  The
+tournament keeps the first lowest cost, as np.argmin does, which holds only
+for comparable costs, so non-finite costs are rejected.
 """
 
 from __future__ import annotations
@@ -48,13 +57,19 @@ def _support(va: np.ndarray, vb: np.ndarray, d: np.ndarray) -> np.ndarray:
     return va[np.argmax(va @ d)] - vb[np.argmax(vb @ -d)]
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors: its six products and three differences."""
+    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+
+
 def _nearest_simplex(simplex: list, d: np.ndarray):
     """One simplex-refinement step toward the origin.  Returns (contains, d)."""
     if len(simplex) == 2:
         b, a = simplex
         ab = b - a
         if ab @ -a > 0.0:
-            d = np.cross(np.cross(ab, -a), ab)
+            d = _cross(_cross(ab, -a), ab)
         else:
             simplex[:] = [a]
             d = -a
@@ -62,15 +77,15 @@ def _nearest_simplex(simplex: list, d: np.ndarray):
         c, b, a = simplex
         ab = b - a
         ac = c - a
-        abc = np.cross(ab, ac)
-        if np.cross(abc, ac) @ -a > 0.0:
+        abc = _cross(ab, ac)
+        if _cross(abc, ac) @ -a > 0.0:
             if ac @ -a > 0.0:
                 simplex[:] = [c, a]
-                d = np.cross(np.cross(ac, -a), ac)
+                d = _cross(_cross(ac, -a), ac)
             else:
                 simplex[:] = [b, a]
                 return _nearest_simplex(simplex, d)
-        elif np.cross(ab, abc) @ -a > 0.0:
+        elif _cross(ab, abc) @ -a > 0.0:
             simplex[:] = [b, a]
             return _nearest_simplex(simplex, d)
         else:
@@ -82,7 +97,7 @@ def _nearest_simplex(simplex: list, d: np.ndarray):
     else:
         d_, c, b, a = simplex
         for tri, opposite in (((b, c, a), d_), ((c, d_, a), b), ((d_, b, a), c)):
-            n = np.cross(tri[1] - tri[2], tri[0] - tri[2])
+            n = _cross(tri[1] - tri[2], tri[0] - tri[2])
             if n @ (opposite - a) > 0.0:
                 n = -n
             if n @ -a > 0.0:
@@ -427,6 +442,7 @@ class GaResult:
     total_cost: float
     best_history: np.ndarray
     mean_history: np.ndarray
+    home_cost: np.ndarray
     cost_matrix: np.ndarray
 
 
@@ -436,17 +452,19 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
     transition_cost(i, j) prices moving from task i to task j, with i = -1
     standing for the home configuration; all pairs are evaluated once into a
     cost matrix, so fitness is a table lookup.  Tournament selection (size 3),
-    order crossover, swap mutation, one elite.
+    order crossover, swap mutation, one elite.  A non-finite cost is rejected.
     """
     n = len(tasks)
     if n < 1:
         raise ValueError("need at least one task")
-    home_cost = np.array([transition_cost(-1, j) for j in range(n)])
+    home_cost = np.array([transition_cost(-1, j) for j in range(n)], dtype=float)
     matrix = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
                 matrix[i, j] = transition_cost(i, j)
+    if not (np.isfinite(home_cost).all() and np.isfinite(matrix).all()):
+        raise ValueError("transition costs must be finite")
 
     def fitness(pop):
         """Cost of every row of a population array, summed leg by leg."""
@@ -459,34 +477,37 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
         order = [0]
         cost = float(home_cost[0])
         return GaResult(order, cost, np.array([cost] * params.max_generations),
-                        np.array([cost] * params.max_generations), matrix)
+                        np.array([cost] * params.max_generations), home_cost, matrix)
 
     rng = np.random.default_rng(params.seed)
     pop = np.array([rng.permutation(n) for _ in range(params.population_size)])
     costs = fitness(pop)
     best_hist, mean_hist = [], []
 
-    def tournament():
-        idx = rng.integers(0, len(pop), size=3)
-        return pop[idx[np.argmin(costs[idx])]]
+    def tournament(rows, c):
+        best = rng.integers(0, len(rows))
+        for _ in range(2):
+            k = rng.integers(0, len(rows))
+            if c[k] < c[best]:
+                best = k
+        return rows[best]
 
     def order_crossover(p1, p2):
-        a, b = sorted(rng.integers(0, n, size=2))
-        child = -np.ones(n, dtype=int)
-        child[a:b + 1] = p1[a:b + 1]
-        kept = set(child[a:b + 1])
-        child[child < 0] = [g for g in p2 if g not in kept]
-        return child
+        a, b = sorted((rng.integers(0, n), rng.integers(0, n)))
+        seg = p1[a:b + 1]
+        kept = set(seg)
+        rest = [g for g in p2 if g not in kept]
+        return rest[:a] + seg + rest[a:]
 
     for _ in range(params.max_generations):
-        elite = pop[int(np.argmin(costs))].copy()
-        new_pop = [elite]
+        rows, c = pop.tolist(), costs.tolist()
+        new_pop = [rows[int(np.argmin(costs))]]
         while len(new_pop) < params.population_size:
-            p1, p2 = tournament(), tournament()
-            child = order_crossover(p1, p2) if rng.uniform() < params.crossover_prob \
-                else p1.copy()
-            if rng.uniform() < params.mutation_prob:
-                i, j = rng.integers(0, n, size=2)
+            p1, p2 = tournament(rows, c), tournament(rows, c)
+            child = order_crossover(p1, p2) if rng.random() < params.crossover_prob \
+                else p1[:]
+            if rng.random() < params.mutation_prob:
+                i, j = rng.integers(0, n), rng.integers(0, n)
                 child[i], child[j] = child[j], child[i]
             new_pop.append(child)
         pop = np.array(new_pop)
@@ -496,4 +517,4 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
 
     best = pop[int(np.argmin(costs))]
     return GaResult([int(i) for i in best], float(costs.min()),
-                    np.array(best_hist), np.array(mean_hist), matrix)
+                    np.array(best_hist), np.array(mean_hist), home_cost, matrix)

@@ -596,3 +596,15 @@ class TestScripts:
             assert lines[0] == ",".join(harness.LOG_COLUMNS)
             assert len(lines) == 1 + 200
             assert result.monitor is not None
+
+    def test_sequence_benchmark(self, monkeypatch, capsys):
+        """Runs the GA-vs-exhaustive script on two 4-task instances."""
+        path = Path(__file__).parents[1] / "scripts" / "sequence_benchmark.py"
+        spec = importlib.util.spec_from_file_location("sequence_benchmark", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", ["sequence_benchmark.py", "4", "2"])
+        script.main()
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 + 1 + 1
+        assert out[-1] == "2/2 instances solved to optimality (4 tasks, 24 permutations each)"

@@ -55,6 +55,17 @@ class TestGjk:
             assert pl.gjk_intersects(b1, b2, p1, p2) == \
                 pl.gjk_intersects(b2, b1, p2, p1)
 
+    def test_cross_matches_numpy_bitwise(self, rng):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2e-308, 1e300, -1e300, 1e-300, -1e-300, 1.0])
+        for _ in range(20000):
+            u, v = rng.standard_normal((2, 3)) * 10.0 ** rng.integers(-300, 301, (2, 3))
+            u = np.where(rng.random(3) < 0.5, rng.choice(special, 3), u)
+            v = np.where(rng.random(3) < 0.5, rng.choice(special, 3), v)
+            with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+                expected = np.cross(u, v)
+            assert pl._cross(u, v).tobytes() == expected.tobytes(), (u, v)
+
 
 def planner_context(obstacles, seed=5, payload_half=0.04):
     model = RobotModel()
@@ -273,6 +284,58 @@ def exhaustive_best(cost, n_tasks):
                for p in itertools.permutations(range(n_tasks)))
 
 
+def array_form_ga(n, params, home_cost, matrix):
+    """The GA with its children bred on numpy arrays and sized draws: the
+    reference the list form in ga_optimize_sequence must equal bit for bit.
+    Returns (order, total_cost, best_history, mean_history)."""
+    def fitness(pop):
+        cost = home_cost[pop[:, 0]]
+        for k in range(n - 1):
+            cost = cost + matrix[pop[:, k], pop[:, k + 1]]
+        return cost
+
+    if n == 1:
+        hist = np.array([float(home_cost[0])] * params.max_generations)
+        return [0], float(home_cost[0]), hist, hist.copy()
+    rng = np.random.default_rng(params.seed)
+    pop = np.array([rng.permutation(n) for _ in range(params.population_size)])
+    costs = fitness(pop)
+    best_hist, mean_hist = [], []
+
+    def tournament():
+        idx = rng.integers(0, len(pop), size=3)
+        return pop[idx[np.argmin(costs[idx])]]
+
+    def order_crossover(p1, p2):
+        a, b = sorted(rng.integers(0, n, size=2))
+        child = -np.ones(n, dtype=int)
+        child[a:b + 1] = p1[a:b + 1]
+        kept = set(child[a:b + 1])
+        child[child < 0] = [g for g in p2 if g not in kept]
+        return child
+
+    for _ in range(params.max_generations):
+        new_pop = [pop[int(np.argmin(costs))].copy()]
+        while len(new_pop) < params.population_size:
+            p1, p2 = tournament(), tournament()
+            child = order_crossover(p1, p2) if rng.uniform() < params.crossover_prob \
+                else p1.copy()
+            if rng.uniform() < params.mutation_prob:
+                i, j = rng.integers(0, n, size=2)
+                child[i], child[j] = child[j], child[i]
+            new_pop.append(child)
+        pop = np.array(new_pop)
+        costs = fitness(pop)
+        best_hist.append(costs.min())
+        mean_hist.append(costs.mean())
+    best = pop[int(np.argmin(costs))]
+    return ([int(i) for i in best], float(costs.min()),
+            np.array(best_hist), np.array(mean_hist))
+
+
+PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestGa:
     def test_defaults(self):
         params = pl.GaParams()
@@ -325,6 +388,34 @@ class TestGa:
             total += cost(a, b)
         assert result.total_cost == total
         assert result.best_history[-1] == total
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 13), population=st.integers(2, 60),
+           generations=st.integers(1, 20), crossover=PROBS, mutation=PROBS,
+           seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([0, 1, 2, 17]))
+    def test_matches_array_form_bitwise(self, n, population, generations, crossover,
+                                        mutation, seed, decimals):
+        # few decimals make many equal costs, so tournament ties are exercised
+        table = np.round(np.random.default_rng(seed).uniform(0.0, 1.0, (n + 1, n)), decimals)
+        params = pl.GaParams(population_size=population, max_generations=generations,
+                             crossover_prob=crossover, mutation_prob=mutation, seed=seed)
+        result = pl.ga_optimize_sequence(list(range(n)), params,
+                                         lambda i, j: float(table[i + 1, j]))
+        assert result.home_cost.tobytes() == table[0].tobytes()
+        order, total, best_hist, mean_hist = array_form_ga(
+            n, params, result.home_cost, result.cost_matrix)
+        assert result.order == order
+        assert result.total_cost == total
+        assert result.best_history.tobytes() == best_hist.tobytes()
+        assert result.mean_history.tobytes() == mean_hist.tobytes()
+
+    @pytest.mark.parametrize("bad", [(2, 3), (-1, 1)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, bad, value):
+        cost = straight_line_instance(19)
+        with pytest.raises(ValueError, match="finite"):
+            pl.ga_optimize_sequence(list(range(5)), pl.GaParams(seed=0),
+                                    lambda i, j: value if (i, j) == bad else cost(i, j))
 
     def test_validation(self):
         with pytest.raises(ValueError):
