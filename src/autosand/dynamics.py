@@ -146,14 +146,21 @@ def pseudo_inverse(jac: np.ndarray, damping: float = 0.0) -> np.ndarray:
     """Right pseudo-inverse J^T (J J^T + damping^2 I)^-1 of a wide Jacobian.
 
     Undamped, a J J^T whose eigenvalue ratio (its condition number, as it is
-    symmetric) exceeds 1e12 raises SingularJacobian.
+    symmetric) exceeds 1e12 raises SingularJacobian.  For the 3-row task
+    Jacobian, det > 0 and tr^3 < 1e11 det pass without eigenvalues: lmax and
+    lmid are at most tr, so lmax / lmin <= tr^3 / det, and the factor 10
+    covers rounding.  Any other J J^T gets eigvalsh's test and its verdict.
     """
     jac = _arr(jac)
     jjt = jac @ jac.T
     if damping == 0.0:
-        eig = np.linalg.eigvalsh(jjt)
-        if eig[0] <= 0.0 or eig[-1] > 1e12 * eig[0]:
-            raise SingularJacobian("Jacobian is rank deficient and damping is zero")
+        (a, _, _), (b, d, _), (c, e, f) = jjt.tolist()
+        det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+        tr = a + d + f
+        if not (det > 0.0 and tr * tr * tr < 1e11 * det):
+            eig = np.linalg.eigvalsh(jjt)
+            if eig[0] <= 0.0 or eig[-1] > 1e12 * eig[0]:
+                raise SingularJacobian("Jacobian is rank deficient and damping is zero")
     else:
         jjt = jjt + damping ** 2 * np.eye(jjt.shape[0])
     _, _, sol, info = dgesv(jjt, jac)

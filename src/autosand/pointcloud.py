@@ -17,6 +17,8 @@ from scipy.spatial import cKDTree
 
 from .geometry import ConvexShape, RigidTransform
 
+SOR_BLOCK = 8192   # points per SOR query: bounds its (block, k + 1) arrays
+
 
 class EmptyScan(Exception):
     """No mesh face is visible from the requested viewpoint."""
@@ -161,14 +163,21 @@ def sor_filter(cloud: PointCloud, k: int = 50, alpha: float = 1.0) -> PointCloud
 
     Points whose mean distance to their k nearest neighbours exceeds the
     cloud-wide mean plus alpha standard deviations are dropped.
+
+    The tree is queried on every core, SOR_BLOCK points at a time.  Each
+    point's neighbours are searched on their own and each mean reduces its own
+    row, so neither the thread count nor the block size can change a bit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if len(cloud) <= k:
         raise TooFewPoints(f"need more than {k} points, got {len(cloud)}")
-    tree = cKDTree(cloud.points)
-    dists, _ = tree.query(cloud.points, k=k + 1)
-    mean_d = dists[:, 1:].mean(axis=1)
+    pts = cloud.points
+    tree = cKDTree(pts)
+    mean_d = np.empty(len(pts))
+    for start in range(0, len(pts), SOR_BLOCK):
+        dists, _ = tree.query(pts[start:start + SOR_BLOCK], k=k + 1, workers=-1)
+        mean_d[start:start + SOR_BLOCK] = dists[:, 1:].mean(axis=1)
     threshold = mean_d.mean() + alpha * mean_d.std()
     return cloud.select(mean_d <= threshold)
 
@@ -213,6 +222,7 @@ def icp_register(source: PointCloud, target: PointCloud,
     half the points are inf, or the median would be, so the median is exact.
     Otherwise, and before keeping all points when fewer than three pass, the
     search runs unbounded: (tf, rms) equal an unbounded ICP's bit for bit.
+    Each point is searched on its own, so running on every core moves no bit.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("both clouds must be non-empty")
@@ -229,14 +239,14 @@ def icp_register(source: PointCloud, target: PointCloud,
     for _ in range(params.max_iters):
         moved = tf.apply(source.points)
         for bound in (4.0 * gate, np.inf):
-            dists, idx = tree.query(moved, distance_upper_bound=bound)
+            dists, idx = tree.query(moved, distance_upper_bound=bound, workers=-1)
             gate = params.reject_ratio * np.median(dists) + 1e-300
             if gate <= 0.5 * bound:
                 break
         keep = dists <= gate
         if keep.sum() < 3:
             if bound < np.inf:
-                dists, idx = tree.query(moved)
+                dists, idx = tree.query(moved, workers=-1)
             keep = np.ones(len(dists), dtype=bool)
         rms = float(np.sqrt(np.mean(dists[keep] ** 2)))
         if rms < best_rms:
@@ -385,12 +395,14 @@ def load_ply(path) -> PointCloud:
         if fh.readline().strip() != "ply":
             raise ValueError("not a PLY file")
         n = 0
+        in_vertex = False
         props = []
         for line in fh:
             token = line.strip().split()
             if token[:2] == ["element", "vertex"]:
                 n = int(token[2])
-            elif token[0] == "property" and n:
+                in_vertex = True
+            elif token[0] == "property" and in_vertex:
                 props.append(token[2])
             elif token[0] == "end_header":
                 break

@@ -153,6 +153,32 @@ def conditioned_jacobian(cond, seed=3):
     return u @ np.diag([1.0, 0.7, cond ** -0.5]) @ v.T
 
 
+def in_limit_jacobian(q):
+    return dyn.jacobian(dyn.RobotModel(), np.array(q))
+
+
+def rank_deficient_jacobian(rows, pattern):
+    """A 3x4 Jacobian whose rows are exactly dependent in floating point."""
+    r0, r1 = np.array(rows[:4]), np.array(rows[4:])
+    return np.array({"repeat": [r0, r1, r0], "double": [r0, r1, 2.0 * r1],
+                     "zero": [r0, r1, 0.0 * r0], "rank1": [r0, -r0, 0.5 * r0]}[pattern])
+
+
+RANK_TEST_JACOBIANS = st.one_of(
+    st.tuples(*[st.floats(lo, hi) for lo, hi in dyn.RobotModel().joint_limits.tolist()])
+    .map(in_limit_jacobian),
+    # near-singular J, scaled as a whole or row by row
+    st.builds(lambda c, seed, s: conditioned_jacobian(10.0 ** c, seed) * 10.0 ** s,
+              st.floats(10.0, 14.0), st.integers(0, 2 ** 16), st.integers(-3, 3)),
+    st.builds(lambda c, seed, s: conditioned_jacobian(10.0 ** c, seed) * 10.0 ** np.c_[s],
+              st.floats(0.0, 15.0), st.integers(0, 2 ** 16),
+              st.lists(st.integers(-4, 4), min_size=3, max_size=3)),
+    st.builds(rank_deficient_jacobian, st.lists(st.floats(-5.0, 5.0), min_size=8,
+                                                max_size=8),
+              st.sampled_from(["repeat", "double", "zero", "rank1"])),
+)
+
+
 class TestPseudoInverse:
     def test_orthonormal_rows(self):
         jac = np.hstack([np.eye(3), np.zeros((3, 1))])
@@ -201,9 +227,32 @@ class TestPseudoInverse:
         with pytest.raises(np.linalg.LinAlgError):
             dyn.pseudo_inverse(np.eye(3, 4), damping=0.1)
 
+    @settings(max_examples=400, deadline=None)
+    @given(jac=RANK_TEST_JACOBIANS)
+    def test_rank_verdict_is_eigvalsh(self, jac):
+        """The closed-form pass of the rank test never overrules eigvalsh:
+        in-limit arm configurations, near-singular and rank-deficient J."""
+        eig = np.linalg.eigvalsh(jac @ jac.T)
+        try:
+            dyn.pseudo_inverse(jac)
+        except dyn.SingularJacobian:
+            raised = True
+        else:
+            raised = False
+        assert raised == bool(eig[0] <= 0.0 or eig[-1] > 1e12 * eig[0])
+
+    def test_in_limit_configurations_skip_eigvalsh(self, model, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        lo, hi = model.joint_limits.T
+        for q in np.random.default_rng(11).uniform(lo, hi, (1000, 4)):
+            dyn.pseudo_inverse(dyn.jacobian(model, q))
+        assert not calls
+
     @pytest.mark.parametrize("cond, singular", [
-        (1e8, False), (1e10, False), (1e11, False),
-        (1e13, True), (1e14, True)])
+        (1e8, False), (1e10, False), (1e11, False), (9e11, False),
+        (1.2e12, True), (1e13, True), (1e14, True)])
     def test_rank_test_threshold(self, cond, singular):
         """The rank test trips where cond(J J^T) passes 1e12."""
         jac = conditioned_jacobian(cond)

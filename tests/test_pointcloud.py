@@ -166,6 +166,15 @@ def integer_grid(n=8):
     return g.reshape(-1, 3)
 
 
+def one_shot_sor(cloud, k, alpha):
+    """sor_filter as one single-threaded query of the whole cloud: the
+    reference that the blocked query on every core must equal bit for bit.
+    Returns the filtered cloud and the mean neighbour distances."""
+    dists, _ = cKDTree(cloud.points).query(cloud.points, k=k + 1)
+    mean_d = dists[:, 1:].mean(axis=1)
+    return cloud.select(mean_d <= mean_d.mean() + alpha * mean_d.std()), mean_d
+
+
 class TestSorFilter:
     def test_grid_retention(self):
         # every grid point has its 3 nearest neighbours at exactly unit
@@ -196,6 +205,31 @@ class TestSorFilter:
         once = pc.sor_filter(pc.PointCloud(pts), k=3, alpha=1.0)
         twice = pc.sor_filter(once, k=3, alpha=1.0)
         assert np.array_equal(once.points, twice.points)
+
+    def test_blocks_and_threads_match_one_shot_query(self, rng):
+        k = 6
+        lattice = integer_grid()
+        n = pc.SOR_BLOCK + 1
+        clouds = [
+            # exact distance ties, and zero distances to the duplicates
+            pc.PointCloud(np.vstack([lattice, lattice[::3]])),
+            # a last block of one point
+            pc.PointCloud(rng.standard_normal((n, 3)), rng.uniform(0.0, 1.0, n)),
+            pc.PointCloud(rng.standard_normal((k + 1, 3))),
+        ]
+        for cloud in clouds:
+            _, mean_d = one_shot_sor(cloud, k, 0.0)
+            # alphas that put the threshold on a point's own mean, where one
+            # ulp of any mean decides whether that point is kept
+            ranked = np.sort(mean_d)
+            alphas = [0.0, 1.0] + [(m - mean_d.mean()) / mean_d.std()
+                                   for m in ranked[[0, len(ranked) // 2, -1]]]
+            for alpha in alphas:
+                got = pc.sor_filter(cloud, k, alpha)
+                want, _ = one_shot_sor(cloud, k, alpha)
+                assert got.points.tobytes() == want.points.tobytes()
+                if cloud.intensity is not None:
+                    assert got.intensity.tobytes() == want.intensity.tobytes()
 
     def test_too_few_points(self):
         with pytest.raises(pc.TooFewPoints):
@@ -447,6 +481,23 @@ class TestMergeScans:
             assert np.abs(tf.rotation - expected.rotation).max() < 1e-6
             assert np.abs(tf.translation).max() < 1e-6
 
+    def test_threads_and_blocks_change_nothing(self, monkeypatch):
+        cube = geo.box((0.1, 0.1, 0.1))
+        scans, angles = self.make_scans(cube, 4, noise=2e-4)
+        merged = pc.merge_scans(scans, angles)
+        n_points = sum(len(s) for s in scans)
+        assert n_points > pc.SOR_BLOCK
+
+        class SingleThreadTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                return super().query(x, *args, **{**kwargs, "workers": 1})
+
+        monkeypatch.setattr(pc, "cKDTree", SingleThreadTree)
+        monkeypatch.setattr(pc, "SOR_BLOCK", n_points)
+        single = pc.merge_scans(scans, angles)
+        assert merged.points.tobytes() == single.points.tobytes()
+        assert merged.intensity.tobytes() == single.intensity.tobytes()
+
     def test_single_scan_rejected(self):
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=0.0)
@@ -536,6 +587,15 @@ class TestFileFormats:
         loaded = pc.load_ply(tmp_path / "plain.ply")
         assert loaded.intensity is None
         assert len(loaded) == 20
+
+    @pytest.mark.parametrize("intensity", [None, np.zeros(0)])
+    def test_ply_empty_roundtrip(self, tmp_path, intensity):
+        pc.save_ply(pc.PointCloud(np.zeros((0, 3)), intensity), tmp_path / "empty.ply")
+        loaded = pc.load_ply(tmp_path / "empty.ply")
+        assert len(loaded) == 0
+        assert (loaded.intensity is None) == (intensity is None)
+        pc.save_ply(loaded, tmp_path / "again.ply")
+        assert (tmp_path / "empty.ply").read_bytes() == (tmp_path / "again.ply").read_bytes()
 
     def test_ply_significant_digits(self, tmp_path):
         cloud = pc.PointCloud([[1.0 / 3.0, 2.0 / 3.0, 1e-7]])
