@@ -17,14 +17,17 @@ from autosand import planner as pl
 
 
 def instance(seed, n_tasks):
+    """Cost table of straight moves between random configurations: row 0
+    prices home -> task j, row i + 1 prices task i -> task j."""
     rng = np.random.default_rng(seed)
     configs = rng.uniform(-1, 1, (n_tasks + 1, 4))
     w = np.array([1.0, 1.0, 0.3, 0.3])
-
-    def cost(i, j):
-        return pl.path_cost(pl.Path([configs[i + 1], configs[j + 1]]), w)
-
-    return cost
+    table = np.zeros((n_tasks + 1, n_tasks))
+    for a in range(n_tasks + 1):
+        for j in range(n_tasks):
+            if a != j + 1:
+                table[a, j] = pl.path_cost(pl.Path([configs[a], configs[j + 1]]), w)
+    return table
 
 
 def main():
@@ -32,11 +35,10 @@ def main():
     n_instances = int(sys.argv[2]) if len(sys.argv) > 2 else 10
     hits = 0
     for seed in range(n_instances):
-        cost = instance(seed, n_tasks)
-        result = pl.ga_optimize_sequence(list(range(n_tasks)),
-                                         pl.GaParams(seed=seed), cost)
+        table = instance(seed, n_tasks)
+        result = pl.ga_optimize_sequence(table[0], table[1:], pl.GaParams(seed=seed))
         best = min(
-            sum([cost(-1, p[0])] + [cost(a, b) for a, b in zip(p[:-1], p[1:])])
+            sum([table[0, p[0]]] + [table[a + 1, b] for a, b in zip(p[:-1], p[1:])])
             for p in itertools.permutations(range(n_tasks)))
         hit = abs(result.total_cost - best) < 1e-9
         hits += hit

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +51,15 @@ def _exit_code(failure: type, in_stage: bool) -> int:
 def _descent(passed: bool | None) -> str:
     """Descent verdict; ``-`` when the run was shorter than the monitor's window."""
     return "-" if passed is None else "ok" if passed else "VIOLATED"
+
+
+def _seconds(text: str) -> float:
+    """A positive, finite duration in seconds, checked as the arguments parse."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite number of seconds, got {text!r}")
+    return value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -94,7 +104,8 @@ def cmd_sand(args) -> int:
     config = _load(args)
     out = Path(args.out)
     if args.face is None:
-        setup = harness.nominal_setup(config, duration=args.duration or 10.0)
+        duration = 10.0 if args.duration is None else args.duration
+        setup = harness.nominal_setup(config, duration=duration)
         result = harness.simulate_sanding(setup)
         out.mkdir(parents=True, exist_ok=True)
         harness.write_csv(out / "sand_nominal.csv", harness.LOG_COLUMNS, result.log)
@@ -168,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--face", type=int, default=None,
                    help="face id (default: canonical single-contact scenario)")
-    p.add_argument("--duration", type=float, default=None, help="seconds")
+    p.add_argument("--duration", type=_seconds, default=None, help="seconds")
     p.set_defaults(fn=cmd_sand)
 
     p = sub.add_parser("run", help="full pipeline: scan, model, plan, sand, assess")

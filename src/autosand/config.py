@@ -36,7 +36,6 @@ class ContactConfig:
 @dataclass
 class SetpointConfig:
     force: float = -25.0
-    penetration_margin: float = 0.0   # extra x_d offset past the force-consistent depth
 
 
 @dataclass
@@ -67,6 +66,11 @@ class SimConfig:
     transient: float = 1.0
     tail_fraction: float = 0.3
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dt_physics", "dt_control", "sanding_duration"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"sim {name} must be positive and finite")
 
 
 @dataclass

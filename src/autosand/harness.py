@@ -183,7 +183,7 @@ def write_csv(path, columns, rows) -> None:
 
 @dataclass
 class Workcell:
-    """Object mesh, belt obstacle, per-face sanding tasks, planner context.
+    """Object mesh, per-face sanding tasks, planner context (which holds the belt).
 
     ``roughness`` holds the current surface roughness of every mesh face (caps
     stay 0); ``transits`` memoises planned paths by (from, to) task index.
@@ -192,7 +192,6 @@ class Workcell:
     mesh: ConvexShape
     face_ids: list
     tasks: list
-    belt: ConvexShape
     planner_ctx: pln.PlannerContext
     roughness: np.ndarray
     transits: dict = field(default_factory=dict)
@@ -234,7 +233,7 @@ def build_workcell(config: PipelineConfig) -> Workcell:
         seed=derive_seed(config.sim.seed, 11))
     roughness = np.zeros(len(mesh.faces))
     roughness[faces] = config.object.roughness
-    return Workcell(mesh, faces, tasks, belt_shape, ctx, roughness)
+    return Workcell(mesh, faces, tasks, ctx, roughness)
 
 
 def build_network(config: PipelineConfig) -> ctl.RbfNetwork:
@@ -437,19 +436,23 @@ def transit_endpoint(config: PipelineConfig, cell: Workcell, i: int) -> np.ndarr
 
 @_stage("plan")
 def _sequence_stage(config, cell, out):
-    def transition(i, j):
-        if config.planner.straight_line_cost:
-            path = pln.Path([transit_endpoint(config, cell, i),
-                             transit_endpoint(config, cell, j)])
-        else:
-            path = _plan_transit(config, cell, i, j)
-        return pln.path_cost(path, config.ga.weights)
+    n = len(cell.tasks)
+    table = np.zeros((n + 1, n))   # row 0: home -> task j; row i + 1: task i -> task j
+    for i in range(-1, n):
+        for j in range(n):
+            if i == j:
+                continue
+            if config.planner.straight_line_cost:
+                path = pln.Path([transit_endpoint(config, cell, i),
+                                 transit_endpoint(config, cell, j)])
+            else:
+                path = _plan_transit(config, cell, i, j)
+            table[i + 1, j] = pln.path_cost(path, config.ga.weights)
 
-    result = pln.ga_optimize_sequence(cell.tasks, config.ga, transition)
+    result = pln.ga_optimize_sequence(table[0], table[1:], config.ga)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "cost_matrix.csv",
-              [f"to_{t.face_id}" for t in cell.tasks],
-              np.vstack([result.home_cost, result.cost_matrix]))
+              [f"to_{t.face_id}" for t in cell.tasks], table)
     write_csv(out / "ga_history.csv", ["best", "mean"],
               np.stack([result.best_history, result.mean_history], axis=1))
     (out / "sequence.json").write_text(json.dumps(
@@ -495,8 +498,7 @@ def _sand_face(config, cell, task, attempt, out):
         stiffness=config.contact.stiffness, damping=config.contact.damping,
         drag=config.contact.drag)
     depth = abs(config.setpoint.force) / config.contact.stiffness
-    x_d = np.array([contact.plane_offset + depth + config.setpoint.penetration_margin,
-                    0.0, task.contact[2] + task.contact[3]])
+    x_d = np.array([contact.plane_offset + depth, 0.0, task.contact[2] + task.contact[3]])
     setup = build_setup(config, contact, x_d, task.contact,
                         config.sim.sanding_duration, config.control.force_noise,
                         derive_seed(config.sim.seed, 13, task.face_id, attempt))

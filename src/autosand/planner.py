@@ -442,27 +442,21 @@ class GaResult:
     total_cost: float
     best_history: np.ndarray
     mean_history: np.ndarray
-    home_cost: np.ndarray
-    cost_matrix: np.ndarray
 
 
-def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
+def ga_optimize_sequence(home_cost, matrix, params: GaParams) -> GaResult:
     """Permutation GA over the task visiting order.
 
-    transition_cost(i, j) prices moving from task i to task j, with i = -1
-    standing for the home configuration; all pairs are evaluated once into a
-    cost matrix, so fitness is a table lookup.  Tournament selection (size 3),
-    order crossover, swap mutation, one elite.  A non-finite cost is rejected.
+    The float arrays home_cost[j] and matrix[i, j] price the move from the
+    start to task j and from task i to task j; fitness is a lookup in them.
+    Tournament selection (size 3), order crossover, swap mutation, one elite.
+    A non-finite cost is rejected, since the tournament compares costs.
     """
-    n = len(tasks)
+    n = len(home_cost)
     if n < 1:
         raise ValueError("need at least one task")
-    home_cost = np.array([transition_cost(-1, j) for j in range(n)], dtype=float)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                matrix[i, j] = transition_cost(i, j)
+    if matrix.shape != (n, n):
+        raise ValueError(f"cost matrix must be {n} x {n}, got {matrix.shape}")
     if not (np.isfinite(home_cost).all() and np.isfinite(matrix).all()):
         raise ValueError("transition costs must be finite")
 
@@ -477,7 +471,7 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
         order = [0]
         cost = float(home_cost[0])
         return GaResult(order, cost, np.array([cost] * params.max_generations),
-                        np.array([cost] * params.max_generations), home_cost, matrix)
+                        np.array([cost] * params.max_generations))
 
     rng = np.random.default_rng(params.seed)
     pop = np.array([rng.permutation(n) for _ in range(params.population_size)])
@@ -517,4 +511,4 @@ def ga_optimize_sequence(tasks, params: GaParams, transition_cost) -> GaResult:
 
     best = pop[int(np.argmin(costs))]
     return GaResult([int(i) for i in best], float(costs.min()),
-                    np.array(best_hist), np.array(mean_hist), home_cost, matrix)
+                    np.array(best_hist), np.array(mean_hist))

@@ -398,7 +398,9 @@ def load_ply(path) -> PointCloud:
         in_vertex = False
         props = []
         for line in fh:
-            token = line.strip().split()
+            token = line.split()
+            if not token or (token[0] in ("element", "property") and len(token) < 3):
+                raise ValueError(f"malformed PLY header line {line.strip()!r}")
             if token[:2] == ["element", "vertex"]:
                 n = int(token[2])
                 in_vertex = True

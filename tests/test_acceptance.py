@@ -141,10 +141,9 @@ def test_criterion_6_ga_optimality():
     hits = 0
     monotone = True
     for seed in range(20):
-        cost = straight_line_instance(seed + 500)
-        result = pl.ga_optimize_sequence(list(range(5)), pl.GaParams(seed=seed),
-                                         cost)
-        if abs(result.total_cost - exhaustive_best(cost, 5)) < 1e-9:
+        table = straight_line_instance(seed + 500)
+        result = pl.ga_optimize_sequence(table[0], table[1:], pl.GaParams(seed=seed))
+        if abs(result.total_cost - exhaustive_best(table)) < 1e-9:
             hits += 1
         monotone &= bool((np.diff(result.best_history) <= 1e-12).all())
     verdict("criterion 6 ga optimality", hits >= 19 and monotone,

@@ -293,13 +293,43 @@ class TestCli:
             rel = path.relative_to(out)
             assert path.read_bytes() == (small_run["out"] / rel).read_bytes(), rel
 
+    def test_model_command_matches_run_to_ply_precision(self, tmp_path, small_run):
+        """`scan` then `model` registers the views read back from 9-digit PLY
+        text, so its model.ply has `run`'s points to within 1e-9 m."""
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(small_config(), cfg_path)
+        out = tmp_path / "work"
+        assert cli.main(["scan", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli.main(["model", "--config", str(cfg_path), "--out", str(out)]) == 0
+        staged = pc.load_ply(out / "model.ply")
+        ran = pc.load_ply(small_run["out"] / "model.ply")
+        assert len(staged) == len(ran) == 6530
+        assert np.abs(staged.points - ran.points).max() <= 1e-9
+
+    def test_malformed_scan_exit_code(self, tmp_path, capsys):
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        (scans / "views.json").write_text(json.dumps({"angles": [0.0], "files": ["v.ply"]}))
+        (scans / "v.ply").write_text("ply\nformat ascii 1.0\n\nelement vertex 0\n"
+                                     "property float x\nproperty float y\n"
+                                     "property float z\nend_header\n")
+        assert cli.main(["model", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert not (tmp_path / "model.ply").exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         """Each bad config exits 1 at load, before any stage writes a file."""
         texts = BAD_INI + ("[control]\nvel_gain = 0\n",
                            "[scanner]\nview_dir = 0, 0, 0\n",
                            "[sor]\nk = 0\n",
                            "[scanner]\nn_views = 1\n",
-                           "[object]\nsides = 2\n")
+                           "[object]\nsides = 2\n",
+                           "[sim]\ndt_physics = 0\n",
+                           "[sim]\ndt_control = -1e-3\n",
+                           "[sim]\ndt_control = inf\n",
+                           "[sim]\nsanding_duration = 0\n",
+                           "[sim]\nsanding_duration = nan\n")
         paths = [tmp_path / "missing.ini"]
         for k, text in enumerate(texts):
             paths.append(tmp_path / f"bad{k}.ini")
@@ -358,7 +388,9 @@ class TestCli:
         assert cli.main(["report", "--run", out]) == 4
 
     def test_usage_error_exit_code(self, capsys):
-        for argv in (["sand", "--face", "x"], [], ["bogus"], ["run", "--nope"]):
+        for argv in (["sand", "--face", "x"], [], ["bogus"], ["run", "--nope"],
+                     ["sand", "--duration", "0"], ["sand", "--duration", "-1"],
+                     ["sand", "--duration", "inf"]):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv)
             assert info.value.code == 1

@@ -267,21 +267,29 @@ class TestPathCost:
 
 
 def straight_line_instance(seed, n_tasks=5):
+    """Cost table of straight moves between random configurations: row 0
+    prices home -> task j, row i + 1 prices task i -> task j."""
     rng = np.random.default_rng(seed)
     configs = rng.uniform(-1, 1, (n_tasks + 1, 4))
     w = np.array([1.0, 1.0, 0.3, 0.3])
+    table = np.zeros((n_tasks + 1, n_tasks))
+    for a in range(n_tasks + 1):
+        for j in range(n_tasks):
+            if a != j + 1:
+                table[a, j] = pl.path_cost(pl.Path([configs[a], configs[j + 1]]), w)
+    return table
 
-    def cost(i, j):
-        qa = configs[i + 1]
-        qb = configs[j + 1]
-        return pl.path_cost(pl.Path([qa, qb]), w)
 
-    return cost
+def leg_sum(table, order):
+    """Cost of visiting the tasks in ``order``, added leg by leg from home."""
+    total = table[0, order[0]]
+    for a, b in zip(order[:-1], order[1:]):
+        total += table[a + 1, b]
+    return total
 
 
-def exhaustive_best(cost, n_tasks):
-    return min(sum([cost(-1, p[0])] + [cost(a, b) for a, b in zip(p[:-1], p[1:])])
-               for p in itertools.permutations(range(n_tasks)))
+def exhaustive_best(table):
+    return min(leg_sum(table, p) for p in itertools.permutations(range(table.shape[1])))
 
 
 def array_form_ga(n, params, home_cost, matrix):
@@ -345,47 +353,43 @@ class TestGa:
         assert params.max_generations == 100
 
     def test_single_task(self):
-        cost = straight_line_instance(0, n_tasks=1)
-        result = pl.ga_optimize_sequence([0], pl.GaParams(seed=1), cost)
+        table = straight_line_instance(0, n_tasks=1)
+        result = pl.ga_optimize_sequence(table[0], table[1:], pl.GaParams(seed=1))
         assert result.order == [0]
-        assert result.total_cost == pytest.approx(cost(-1, 0))
+        assert result.total_cost == table[0, 0]
 
     def test_matches_exhaustive_smoke(self):
         for seed in range(3):
-            cost = straight_line_instance(seed + 100)
-            result = pl.ga_optimize_sequence(list(range(5)),
-                                             pl.GaParams(seed=seed), cost)
-            assert result.total_cost == pytest.approx(exhaustive_best(cost, 5))
+            table = straight_line_instance(seed + 100)
+            result = pl.ga_optimize_sequence(table[0], table[1:], pl.GaParams(seed=seed))
+            assert result.total_cost == pytest.approx(exhaustive_best(table))
 
     def test_monotone_best_history(self):
-        cost = straight_line_instance(7)
-        result = pl.ga_optimize_sequence(list(range(5)), pl.GaParams(seed=3), cost)
+        table = straight_line_instance(7)
+        result = pl.ga_optimize_sequence(table[0], table[1:], pl.GaParams(seed=3))
         assert (np.diff(result.best_history) <= 1e-12).all()
 
     def test_deterministic(self):
-        cost = straight_line_instance(11)
+        table = straight_line_instance(11)
         params = pl.GaParams(population_size=50, max_generations=30, seed=9)
-        r1 = pl.ga_optimize_sequence(list(range(5)), params, cost)
-        r2 = pl.ga_optimize_sequence(list(range(5)), params, cost)
+        r1 = pl.ga_optimize_sequence(table[0], table[1:], params)
+        r2 = pl.ga_optimize_sequence(table[0], table[1:], params)
         assert r1.order == r2.order
         assert np.array_equal(r1.best_history, r2.best_history)
 
     def test_is_permutation(self):
-        cost = straight_line_instance(13, n_tasks=8)
+        table = straight_line_instance(13, n_tasks=8)
         params = pl.GaParams(population_size=40, max_generations=15, seed=2)
-        result = pl.ga_optimize_sequence(list(range(8)), params, cost)
+        result = pl.ga_optimize_sequence(table[0], table[1:], params)
         assert sorted(result.order) == list(range(8))
 
     def test_total_cost_is_leg_sum_in_order(self):
         # the population is scored in one batch; the sum must still be the
         # per-sequence loop's, added leg by leg from home
-        cost = straight_line_instance(17, n_tasks=8)
+        table = straight_line_instance(17, n_tasks=8)
         params = pl.GaParams(population_size=40, max_generations=15, seed=4)
-        result = pl.ga_optimize_sequence(list(range(8)), params, cost)
-        order = result.order
-        total = cost(-1, order[0])
-        for a, b in zip(order[:-1], order[1:]):
-            total += cost(a, b)
+        result = pl.ga_optimize_sequence(table[0], table[1:], params)
+        total = leg_sum(table, result.order)
         assert result.total_cost == total
         assert result.best_history[-1] == total
 
@@ -399,23 +403,27 @@ class TestGa:
         table = np.round(np.random.default_rng(seed).uniform(0.0, 1.0, (n + 1, n)), decimals)
         params = pl.GaParams(population_size=population, max_generations=generations,
                              crossover_prob=crossover, mutation_prob=mutation, seed=seed)
-        result = pl.ga_optimize_sequence(list(range(n)), params,
-                                         lambda i, j: float(table[i + 1, j]))
-        assert result.home_cost.tobytes() == table[0].tobytes()
-        order, total, best_hist, mean_hist = array_form_ga(
-            n, params, result.home_cost, result.cost_matrix)
+        result = pl.ga_optimize_sequence(table[0], table[1:], params)
+        order, total, best_hist, mean_hist = array_form_ga(n, params, table[0], table[1:])
         assert result.order == order
         assert result.total_cost == total
         assert result.best_history.tobytes() == best_hist.tobytes()
         assert result.mean_history.tobytes() == mean_hist.tobytes()
 
-    @pytest.mark.parametrize("bad", [(2, 3), (-1, 1)])
+    @pytest.mark.parametrize("bad", [(3, 3), (0, 1)])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_cost_rejected(self, bad, value):
-        cost = straight_line_instance(19)
+        # (3, 3) prices task 2 -> 3, (0, 1) home -> 1
+        table = straight_line_instance(19)
+        table[bad] = value
         with pytest.raises(ValueError, match="finite"):
-            pl.ga_optimize_sequence(list(range(5)), pl.GaParams(seed=0),
-                                    lambda i, j: value if (i, j) == bad else cost(i, j))
+            pl.ga_optimize_sequence(table[0], table[1:], pl.GaParams(seed=0))
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (6, 5)])
+    def test_matrix_shape_checked(self, shape):
+        table = straight_line_instance(19)
+        with pytest.raises(ValueError, match="5 x 5"):
+            pl.ga_optimize_sequence(table[0], np.zeros(shape), pl.GaParams(seed=0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -597,6 +597,16 @@ class TestFileFormats:
         pc.save_ply(loaded, tmp_path / "again.ply")
         assert (tmp_path / "empty.ply").read_bytes() == (tmp_path / "again.ply").read_bytes()
 
+    @pytest.mark.parametrize("line", ["", "   ", "property float", "element vertex"],
+                             ids=["blank", "spaces", "short_property", "short_element"])
+    def test_ply_malformed_header_line(self, tmp_path, line):
+        pc.save_ply(pc.PointCloud(np.ones((2, 3))), tmp_path / "cloud.ply")
+        lines = (tmp_path / "cloud.ply").read_text().splitlines(keepends=True)
+        lines.insert(2, line + "\n")
+        (tmp_path / "cloud.ply").write_text("".join(lines))
+        with pytest.raises(ValueError, match="malformed PLY header line"):
+            pc.load_ply(tmp_path / "cloud.ply")
+
     def test_ply_significant_digits(self, tmp_path):
         cloud = pc.PointCloud([[1.0 / 3.0, 2.0 / 3.0, 1e-7]])
         pc.save_ply(cloud, tmp_path / "digits.ply")
