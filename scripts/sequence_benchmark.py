@@ -2,14 +2,18 @@
 """GA sequencing benchmark against brute-force enumeration.
 
 Builds random small task sets, compares the GA's best cost with the exhaustive
-optimum, and reports hit rate and generation-zero vs final fitness.
+optimum, and reports hit rate, generation-zero vs final fitness and the wall
+time of each GA run (the default population and generation count) with its
+median.
 
 Usage: python scripts/sequence_benchmark.py [n_tasks] [n_instances]
 """
 
 import itertools
 import math
+import statistics
 import sys
+import time
 
 import numpy as np
 
@@ -34,9 +38,12 @@ def main():
     n_tasks = int(sys.argv[1]) if len(sys.argv) > 1 else 6
     n_instances = int(sys.argv[2]) if len(sys.argv) > 2 else 10
     hits = 0
+    ga_times = []
     for seed in range(n_instances):
         table = instance(seed, n_tasks)
+        start = time.perf_counter()
         result = pl.ga_optimize_sequence(table[0], table[1:], pl.GaParams(seed=seed))
+        ga_times.append(time.perf_counter() - start)
         best = min(
             sum([table[0, p[0]]] + [table[a + 1, b] for a, b in zip(p[:-1], p[1:])])
             for p in itertools.permutations(range(n_tasks)))
@@ -44,9 +51,10 @@ def main():
         hits += hit
         print(f"seed {seed}: ga {result.total_cost:.4f} vs optimum "
               f"{best:.4f} ({'hit' if hit else 'MISS'}), first-gen best "
-              f"{result.best_history[0]:.4f}")
+              f"{result.best_history[0]:.4f}, GA {ga_times[-1] * 1e3:.1f} ms")
     print(f"\n{hits}/{n_instances} instances solved to optimality "
           f"({n_tasks} tasks, {math.factorial(n_tasks)} permutations each)")
+    print(f"median GA time {statistics.median(ga_times) * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

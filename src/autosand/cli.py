@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -102,6 +103,10 @@ def cmd_plan(args) -> int:
 
 def cmd_sand(args) -> int:
     config = _load(args)
+    if args.duration is not None:
+        # checked against the loaded config as a config file's sanding_duration is
+        config = dataclasses.replace(
+            config, sim=dataclasses.replace(config.sim, sanding_duration=args.duration))
     out = Path(args.out)
     if args.face is None:
         duration = 10.0 if args.duration is None else args.duration
@@ -113,8 +118,6 @@ def cmd_sand(args) -> int:
         cell = harness.build_workcell(config)
         if args.face not in cell.face_ids:
             raise ValueError(f"no lateral face {args.face}; faces are {cell.face_ids}")
-        if args.duration is not None:
-            config.sim.sanding_duration = args.duration
         task = cell.tasks[cell.face_ids.index(args.face)]
         result = harness._sand_face(config, cell, task, 0, out)
     print(f"steady force {result.steady_force:.3f} N "

@@ -102,6 +102,9 @@ class PipelineConfig:
         ratio = self.sim.dt_control / self.sim.dt_physics
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("dt_control must be an integer multiple of dt_physics")
+        if round(self.sim.sanding_duration / self.sim.dt_control) < 2:
+            raise ValueError(f"sim sanding_duration ({self.sim.sanding_duration:g} s) must "
+                             f"span at least two control ticks of {self.sim.dt_control:g} s")
 
 
 def _format_value(value) -> str:

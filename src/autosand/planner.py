@@ -16,16 +16,23 @@ sample-by-sample sweep would find.  GJK's cross products go through _cross:
 np.cross's float operations in its order, bit for bit, without its overhead.
 
 The GA scores each generation in one array pass and breeds its children on
-Python lists, one scalar Generator draw per number: three tournament indices,
-a crossover coin (random(), the bits of uniform()), two cut points, a
-mutation coin, two swap positions.  Scalar and sized integers() calls read the
-same stream, so the search is bit for bit that of sized draws on arrays.  The
-tournament keeps the first lowest cost, as np.argmin does, which holds only
-for comparable costs, so non-finite costs are rejected.
+Python lists, one draw per number: three tournament indices, a crossover coin
+(random(), the bits of uniform()), two cut points, a mutation coin, two swap
+positions.  After the initial permutations the draws do not go through the
+Generator, whose scalar calls cost microseconds each.  _pcg64_draws reads the
+same PCG64 words (O'Neill, 2014) from random_raw in blocks and applies numpy's
+own arithmetic to them: a double is the top 53 bits of one word, and
+integers(0, high) is Lemire's multiply-and-reject (ACM TOMACS 2019) on 32-bit
+halves, low half first, the high half kept for the next call as the bit
+generator keeps it.  Every draw is the Generator's value, so the search is bit
+for bit that of sized draws on arrays.  The tournament keeps the first lowest
+cost, as np.argmin does, which holds only for comparable costs, so non-finite
+costs are rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +44,7 @@ from .geometry import ConvexShape, RigidTransform
 GJK_MAX_ITERS = 64
 GJK_TOL = 1e-9
 BROAD_MARGIN = 1e-6  # m; far above GJK_TOL and the rounding of batched poses
+RAW_BLOCK = 1024     # PCG64 words read per random_raw call by _pcg64_draws
 
 
 class NoPathFound(Exception):
@@ -186,6 +194,8 @@ class GaParams:
         self.weights = np.asarray(self.weights, dtype=float).reshape(4)
         if self.population_size < 2:
             raise ValueError("population must hold at least 2 individuals")
+        if self.max_generations < 1:
+            raise ValueError("the GA must run at least 1 generation")
         if not (0.0 <= self.crossover_prob <= 1.0 and 0.0 <= self.mutation_prob <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if (self.weights <= 0).any():
@@ -436,6 +446,47 @@ def path_cost(path: Path, weights) -> float:
     return float((np.linalg.norm(w * steps, axis=1) ** 2).sum())
 
 
+def _pcg64_draws(rng: np.random.Generator):
+    """(integers, random): integers(high) and random() return what
+    rng.integers(0, high) and rng.random() would, call for call, for a PCG64
+    Generator and 1 <= high < 2**32.
+
+    They take words from random_raw a block at a time, starting from the
+    32-bit half that rng's state holds buffered after an odd number of 32-bit
+    draws.  That leaves rng's own state a block ahead and its buffer stale, so
+    rng must not draw again.  The two closures are the whole hot path: a draw
+    is a few integer operations and at most one call, for the next word.
+    """
+    state = rng.bit_generator.state
+    raw = rng.bit_generator.random_raw
+    next_word = itertools.chain.from_iterable(
+        iter(lambda: raw(RAW_BLOCK).tolist(), None)).__next__
+    spare = state["uinteger"] if state["has_uint32"] else None
+
+    def integers(high):
+        nonlocal spare
+        if not 1 < high < 0x100000000:
+            if high == 1:
+                return 0
+            raise ValueError(f"high must lie in [1, 2**32), got {high}")
+        while True:
+            if spare is None:
+                word = next_word()
+                spare = word >> 32
+                m = (word & 0xFFFFFFFF) * high
+            else:
+                m = spare * high
+                spare = None
+            # Lemire: reject a low half below 2**32 % high, which is < high
+            if (m & 0xFFFFFFFF) >= high or (m & 0xFFFFFFFF) >= (0x100000000 - high) % high:
+                return m >> 32
+
+    def random():
+        return (next_word() >> 11) * 2.0 ** -53
+
+    return integers, random
+
+
 @dataclass
 class GaResult:
     order: list
@@ -477,17 +528,18 @@ def ga_optimize_sequence(home_cost, matrix, params: GaParams) -> GaResult:
     pop = np.array([rng.permutation(n) for _ in range(params.population_size)])
     costs = fitness(pop)
     best_hist, mean_hist = [], []
+    integers, random = _pcg64_draws(rng)
 
     def tournament(rows, c):
-        best = rng.integers(0, len(rows))
+        best = integers(len(rows))
         for _ in range(2):
-            k = rng.integers(0, len(rows))
+            k = integers(len(rows))
             if c[k] < c[best]:
                 best = k
         return rows[best]
 
     def order_crossover(p1, p2):
-        a, b = sorted((rng.integers(0, n), rng.integers(0, n)))
+        a, b = sorted((integers(n), integers(n)))
         seg = p1[a:b + 1]
         kept = set(seg)
         rest = [g for g in p2 if g not in kept]
@@ -498,10 +550,10 @@ def ga_optimize_sequence(home_cost, matrix, params: GaParams) -> GaResult:
         new_pop = [rows[int(np.argmin(costs))]]
         while len(new_pop) < params.population_size:
             p1, p2 = tournament(rows, c), tournament(rows, c)
-            child = order_crossover(p1, p2) if rng.random() < params.crossover_prob \
+            child = order_crossover(p1, p2) if random() < params.crossover_prob \
                 else p1[:]
-            if rng.random() < params.mutation_prob:
-                i, j = rng.integers(0, n), rng.integers(0, n)
+            if random() < params.mutation_prob:
+                i, j = integers(n), integers(n)
                 child[i], child[j] = child[j], child[i]
             new_pop.append(child)
         pop = np.array(new_pop)

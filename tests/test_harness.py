@@ -110,6 +110,19 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             PipelineConfig(sim=cfg.sim)
 
+    @pytest.mark.parametrize("duration, ok", [(1e-3, False), (1.4e-3, False),
+                                               (1.6e-3, True), (2e-3, True)])
+    def test_sanding_duration_spans_two_ticks(self, duration, ok):
+        # the descent monitor needs two samples; simulate_sanding runs
+        # round(duration / dt_control) ticks
+        sim = PipelineConfig().sim
+        sim.sanding_duration = duration
+        if ok:
+            PipelineConfig(sim=sim)
+        else:
+            with pytest.raises(ValueError, match="two control ticks"):
+                PipelineConfig(sim=sim)
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
@@ -329,7 +342,9 @@ class TestCli:
                            "[sim]\ndt_control = -1e-3\n",
                            "[sim]\ndt_control = inf\n",
                            "[sim]\nsanding_duration = 0\n",
-                           "[sim]\nsanding_duration = nan\n")
+                           "[sim]\nsanding_duration = nan\n",
+                           "[sim]\nsanding_duration = 0.001\n",
+                           "[ga]\nmax_generations = 0\n")
         paths = [tmp_path / "missing.ini"]
         for k, text in enumerate(texts):
             paths.append(tmp_path / f"bad{k}.ini")
@@ -386,6 +401,21 @@ class TestCli:
         out = str(tmp_path / "run")
         assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == 4
         assert cli.main(["report", "--run", out]) == 4
+
+    @pytest.mark.parametrize("face", [None, 0])
+    def test_short_sand_duration_exit_code(self, tmp_path, capsys, face):
+        """--duration is checked against the loaded config's dt_control: 2.8 ms
+        is three ticks of the default 1 ms but one of this config's 2 ms."""
+        cfg = small_config(**{"object.sides": 3})
+        cfg.sim.dt_control = 2e-3
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(cfg, cfg_path)
+        out = tmp_path / "out"
+        argv = ["sand", "--config", str(cfg_path), "--out", str(out), "--duration", "0.0028"]
+        assert cli.main(argv + ([] if face is None else ["--face", str(face)])) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "two control ticks" in err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, capsys):
         for argv in (["sand", "--face", "x"], [], ["bogus"], ["run", "--nope"],
@@ -638,5 +668,7 @@ class TestScripts:
         monkeypatch.setattr(sys, "argv", ["sequence_benchmark.py", "4", "2"])
         script.main()
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 2 + 1 + 1
-        assert out[-1] == "2/2 instances solved to optimality (4 tasks, 24 permutations each)"
+        assert len(out) == 2 + 1 + 1 + 1
+        assert all(re.search(r", GA \d+\.\d ms$", line) for line in out[:2])
+        assert out[-2] == "2/2 instances solved to optimality (4 tasks, 24 permutations each)"
+        assert re.fullmatch(r"median GA time \d+\.\d ms", out[-1])

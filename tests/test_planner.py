@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from autosand import harness
 from autosand import planner as pl
@@ -432,3 +432,36 @@ class TestGa:
             pl.GaParams(crossover_prob=1.5)
         with pytest.raises(ValueError):
             pl.GaParams(weights=(1, 1, 0, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), perms=st.lists(st.integers(1, 30), max_size=5),
+           script_seed=st.integers(0, 2**32 - 1))
+    @example(seed=5, perms=[], script_seed=0)       # no 32-bit half buffered
+    @example(seed=5, perms=[2], script_seed=0)      # one half buffered
+    def test_draws_match_generator(self, seed, perms, script_seed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in perms:
+            assert np.array_equal(rng.permutation(n), twin.permutation(n))
+        integers, random = pl._pcg64_draws(rng)
+        # None stands for random(); half the calls read a whole word each, so
+        # the script reads past the first random_raw block
+        highs = [1, 2, 3, 13, 200, 3 * 2**30, 2**32 - 1, None]
+        picks = np.random.default_rng(script_seed).integers(0, 14, 3 * pl.RAW_BLOCK)
+        script = [highs[min(k, 7)] for k in picks.tolist()]
+        assert script.count(None) > pl.RAW_BLOCK
+        for high in script:
+            if high is None:
+                assert random() == twin.random()
+            else:
+                assert integers(high) == twin.integers(0, high)
+
+    @pytest.mark.parametrize("high", [2**32, 2**40])
+    def test_draws_reject_wide_range(self, high):
+        integers, _ = pl._pcg64_draws(np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            integers(high)
+
+    @pytest.mark.parametrize("generations", [0, -3])
+    def test_no_generation_rejected(self, generations):
+        with pytest.raises(ValueError, match="generation"):
+            pl.GaParams(max_generations=generations)
