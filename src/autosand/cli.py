@@ -84,7 +84,12 @@ def cmd_model(args) -> int:
     scans_dir = Path(args.scans) if args.scans else out / "scans"
     manifest = json.loads((scans_dir / "views.json").read_text())
     scans = [pc.load_ply(scans_dir / f) for f in manifest["files"]]
-    model_cloud = harness._model_stage(config, scans, manifest["angles"], out)
+    angles = manifest["angles"]
+    # checked here: the model stage reports every failure as a numeric one
+    if len(scans) < 2 or len(angles) != len(scans) or not all(len(s) for s in scans):
+        raise ValueError(f"{scans_dir} needs at least 2 non-empty views, one angle each; got "
+                         f"views of {[len(s) for s in scans]} points and {len(angles)} angles")
+    model_cloud = harness._model_stage(config, scans, angles, out)
     print(f"merged {len(scans)} views into {out / 'model.ply'} ({len(model_cloud)} points)")
     return EXIT_OK
 

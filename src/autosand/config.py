@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ControlConfig
-from .dynamics import RobotModel
+from .dynamics import MAX_STEP, RobotModel
 from .impedance import ImpedanceSpec
 from .planner import GaParams, PlannerConfig
 from .pointcloud import IcpParams, QualityParams, ScannerConfig, SorConfig
@@ -63,14 +63,14 @@ class SimConfig:
     dt_physics: float = 1e-4
     dt_control: float = 1e-3
     sanding_duration: float = 5.0
-    transient: float = 1.0
-    tail_fraction: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
         for name in ("dt_physics", "dt_control", "sanding_duration"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"sim {name} must be positive and finite")
+        if self.dt_physics > MAX_STEP:
+            raise ValueError(f"sim dt_physics must not exceed the {MAX_STEP:g} s integrator step")
 
 
 @dataclass
@@ -78,7 +78,6 @@ class PipelineOptions:
     max_resand: int = 3
     approach_clearance: float = 0.03
     home: tuple = (-0.6, 0.3, 0.0, 0.0)
-    quality_gate: bool = True      # False accepts every face (stage-isolation toggle)
 
 
 @dataclass

@@ -45,8 +45,8 @@ class RbfNetwork:
     def latin_hypercube(cls, low, high, control: ControlConfig, seed: int) -> "RbfNetwork":
         """Spread centers over the operating box by Latin-hypercube sampling.
 
-        The width is the median inter-center distance (scaled), which keeps
-        every basis function active somewhere in the box.
+        The width is the median inter-center distance, which keeps every
+        basis function active somewhere in the box.
         """
         n_centers = control.n_centers
         low = np.asarray(low, dtype=float)
@@ -58,7 +58,7 @@ class RbfNetwork:
         centers = low + u * (high - low)
         diff = centers[:, None, :] - centers[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
-        width = control.width_scale * np.median(dist[np.triu_indices(n_centers, 1)])
+        width = np.median(dist[np.triu_indices(n_centers, 1)])
         return cls(centers, float(width), control.learn_rate)
 
 
@@ -72,9 +72,7 @@ class ControlConfig:
     boundary: float = 0.05         # 0 selects the exact sign function
     learn_rate: float = 20.0
     n_centers: int = 64
-    width_scale: float = 1.0
     force_noise: float = 0.1       # N, std dev of the simulated force sensor
-    pinv_damping: float = 0.0
 
     def __post_init__(self):
         if not self.vel_gain > 0:
@@ -142,10 +140,13 @@ def weight_update(net: RbfNetwork, theta: np.ndarray, vel_err: np.ndarray,
 
 
 # The descent monitor's moving-average window [s], the |zq| below which a run
-# counts as settled, and the allowed rise relative to the smoothed peak.
+# counts as settled, the allowed rise relative to the smoothed peak, the time [s]
+# before rises count, and the final share of a run its steady values average.
 WINDOW = 0.5
 SETTLE_THRESHOLD = 1e-2
 RISE_TOL = 1e-3
+TRANSIENT = 1.0
+TAIL_FRACTION = 0.3
 
 
 @dataclass
@@ -156,13 +157,13 @@ class DescentReport:
     smoothed: np.ndarray
 
 
-def lyapunov_monitor(times, vel_errors, v_obs, transient: float = 1.0) -> DescentReport:
+def lyapunov_monitor(times, vel_errors, v_obs) -> DescentReport:
     """Check the observable descent condition along a closed-loop run.
 
     v_obs holds v = 0.5 z^T M z per sample, as the run logged it.  The monitor
     smooths it with a moving average over WINDOW and requires the smoothed
     curve never to climb more than RISE_TOL times its peak above its running
-    minimum once the transient has passed.  The weight-error part of the full
+    minimum after the first TRANSIENT seconds.  The weight-error part of the full
     storage function is unobservable (the ideal weights are unknown), so only
     this necessary consequence is tested.  A run shorter than the window is
     not evaluated: ``passed`` and ``max_rise`` are None.
@@ -190,7 +191,7 @@ def lyapunov_monitor(times, vel_errors, v_obs, transient: float = 1.0) -> Descen
     smoothed = np.convolve(v_obs, kernel, mode="valid")
     t_smooth = times[win - 1:]
 
-    after = smoothed[t_smooth >= times[0] + transient]
+    after = smoothed[t_smooth >= times[0] + TRANSIENT]
     if len(after) < 2:
         after = smoothed
     tol = RISE_TOL * max(smoothed.max(), np.finfo(float).tiny)

@@ -37,7 +37,7 @@ MAX_STEP = 1e-2
 
 
 class SingularJacobian(Exception):
-    """Undamped pseudo-inverse requested for a rank-deficient Jacobian."""
+    """Pseudo-inverse requested for a rank-deficient Jacobian."""
 
 
 class IntegrationDiverged(Exception):
@@ -142,10 +142,10 @@ def jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
                      [0.0, 0.0, 1.0, 1.0]])
 
 
-def pseudo_inverse(jac: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """Right pseudo-inverse J^T (J J^T + damping^2 I)^-1 of a wide Jacobian.
+def pseudo_inverse(jac: np.ndarray) -> np.ndarray:
+    """Right pseudo-inverse J^T (J J^T)^-1 of a wide Jacobian.
 
-    Undamped, a J J^T whose eigenvalue ratio (its condition number, as it is
+    A J J^T whose eigenvalue ratio (its condition number, as it is
     symmetric) exceeds 1e12 raises SingularJacobian.  For the 3-row task
     Jacobian, det > 0 and tr^3 < 1e11 det pass without eigenvalues: lmax and
     lmid are at most tr, so lmax / lmin <= tr^3 / det, and the factor 10
@@ -153,16 +153,13 @@ def pseudo_inverse(jac: np.ndarray, damping: float = 0.0) -> np.ndarray:
     """
     jac = _arr(jac)
     jjt = jac @ jac.T
-    if damping == 0.0:
-        (a, _, _), (b, d, _), (c, e, f) = jjt.tolist()
-        det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
-        tr = a + d + f
-        if not (det > 0.0 and tr * tr * tr < 1e11 * det):
-            eig = np.linalg.eigvalsh(jjt)
-            if eig[0] <= 0.0 or eig[-1] > 1e12 * eig[0]:
-                raise SingularJacobian("Jacobian is rank deficient and damping is zero")
-    else:
-        jjt = jjt + damping ** 2 * np.eye(jjt.shape[0])
+    (a, _, _), (b, d, _), (c, e, f) = jjt.tolist()
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    tr = a + d + f
+    if not (det > 0.0 and tr * tr * tr < 1e11 * det):
+        eig = np.linalg.eigvalsh(jjt)
+        if eig[0] <= 0.0 or eig[-1] > 1e12 * eig[0]:
+            raise SingularJacobian("Jacobian is rank deficient")
     _, _, sol, info = dgesv(jjt, jac)
     if info:
         raise np.linalg.LinAlgError("singular J J^T in pseudo_inverse")

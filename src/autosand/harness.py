@@ -69,8 +69,6 @@ class SandingSetup:
     duration: float
     dt_control: float
     dt_physics: float
-    transient: float                # s before the descent monitor's verdict
-    tail_fraction: float            # final share of the run the steady values average
     force_noise: float
     noise_seed: int
     disturbance: object = None      # callable t -> joint torque, or None
@@ -129,7 +127,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         dx = x - setup.x_d
         filt = imp.filter_force_step(filt, f_meas - setup.f_d, setup.spec,
                                      setup.dt_control)
-        j_pinv = dyn.pseudo_inverse(jac, setup.gains.pinv_damping)
+        j_pinv = dyn.pseudo_inverse(jac)
         qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, filt, setup.spec)
         qddr = np.zeros(4) if qdr_prev is None else (qdr - qdr_prev) / setup.dt_control
         qdr_prev = qdr
@@ -156,13 +154,13 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     times = log[:, 0]
     forces = log[:, col("fe_x"):col("fe_t") + 1]
     vel_errors = log[:, col("zq1"):col("zq4") + 1]
-    tail = times >= (1.0 - setup.tail_fraction) * setup.duration
-    after = times >= setup.transient
+    monitor = ctl.lyapunov_monitor(times, vel_errors, log[:, col("v_obs")])
+    tail = times >= min((1.0 - ctl.TAIL_FRACTION) * setup.duration, times[-1])  # >= 1 tick
+    after = times >= ctl.TRANSIENT
     normal = setup.contact.normal if setup.contact is not None else np.array([1.0, 0, 0])
     steady_force = float((forces[tail] @ normal).mean())
     target = float(setup.f_d @ normal)
     zq_norm = np.linalg.norm(vel_errors, axis=1)
-    monitor = ctl.lyapunov_monitor(times, vel_errors, log[:, col("v_obs")], setup.transient)
     return SandingResult(
         log=log, times=times, vel_errors=vel_errors, forces=forces, task_errors=z_hist,
         steady_force=steady_force,
@@ -256,7 +254,6 @@ def build_setup(config: PipelineConfig, contact: dyn.BeltContact, x_d, q0,
         f_d=np.array([config.setpoint.force, 0.0, 0.0]),
         q0=q0, duration=duration,
         dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
-        transient=config.sim.transient, tail_fraction=config.sim.tail_fraction,
         force_noise=force_noise, noise_seed=noise_seed)
 
 
@@ -545,7 +542,6 @@ def _run_stages(config: PipelineConfig, out, report: RunReport) -> None:
         cell.roughness[task.face_id] *= (1.0 - config.object.removal_rate * grip)
 
         quality = _assess_face(config, cell, task, attempt, rough_before, cell.roughness)
-        passed = quality.passed or not config.pipeline.quality_gate
         face_reports[k] = FaceReport(
             face_id=task.face_id, sequence_position=seq.order.index(k),
             duration=config.sim.sanding_duration,
@@ -555,8 +551,8 @@ def _run_stages(config: PipelineConfig, out, report: RunReport) -> None:
             descent_passed=result.monitor.passed,
             max_rise=result.monitor.max_rise,
             settle_time=result.monitor.settle_time,
-            quality=quality, resand_count=attempt, passed=passed)
-        if not passed and attempt < config.pipeline.max_resand:
+            quality=quality, resand_count=attempt, passed=quality.passed)
+        if not quality.passed and attempt < config.pipeline.max_resand:
             attempts[k] += 1
             queue.append(k)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class ComplexRoots(Exception):
+class ComplexRoots(ValueError):
     """The requested impedance target is under-damped and cannot be factored."""
 
 
@@ -43,7 +43,7 @@ def factor_rates(inertia, damping, stiffness):
     r = stiffness / inertia
     disc = p * p - 4.0 * r
     if (disc < 0.0).any():
-        raise ComplexRoots(f"negative discriminant on axes {np.nonzero(disc < 0)[0]}")
+        raise ComplexRoots(f"impedance target under-damped on axes {np.nonzero(disc < 0)[0]}")
     root = np.sqrt(disc)
     return 0.5 * (p + root), 0.5 * (p - root)
 

@@ -44,6 +44,8 @@ from .geometry import ConvexShape, RigidTransform
 GJK_MAX_ITERS = 64
 GJK_TOL = 1e-9
 BROAD_MARGIN = 1e-6  # m; far above GJK_TOL and the rounding of batched poses
+RETREAT_STEP = 0.02  # m; spacing of the retreat rule's via-points along the belt normal
+RETREAT_MAX = 0.10   # m; farthest retreat the rule tries
 RAW_BLOCK = 1024     # PCG64 words read per random_raw call by _pcg64_draws
 
 
@@ -205,8 +207,6 @@ class GaParams:
 @dataclass
 class PlannerConfig:
     task_step: float = 0.005
-    retreat_step: float = 0.02
-    retreat_max: float = 0.10
     max_rule_repairs: int = 4
     sample_budget: int = 200
     straight_line_cost: bool = False   # GA fitness from straight segments instead of planned paths
@@ -309,9 +309,9 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
 
     def retreat_candidates(q):
         jac_pinv = pseudo_inverse(jacobian(ctx.model, q))
-        steps = int(round(ctx.params.retreat_max / ctx.params.retreat_step))
+        steps = int(round(RETREAT_MAX / RETREAT_STEP))
         for k in range(1, steps + 1):
-            shift = -ctx.belt_normal * (k * ctx.params.retreat_step)
+            shift = -ctx.belt_normal * (k * RETREAT_STEP)
             yield q + jac_pinv @ shift
 
     def connect(qa, qb, repairs_left):

@@ -24,7 +24,7 @@ def dynamics_reference() -> dict:
     - a 2,000-step ``step`` trajectory that starts 1 mm short of the belt,
       moves into contact and presses on it, with 2 N drag and a constant
       external torque;
-    - undamped and damped pseudo-inverses of 16 Jacobians.
+    - pseudo-inverses of 16 Jacobians.
     """
     model = dyn.RobotModel()
     rng = np.random.default_rng(5150)
@@ -61,7 +61,6 @@ def dynamics_reference() -> dict:
         "step_trajectory": trajectory,
         "jacobians": jacs,
         "pinv": np.array([dyn.pseudo_inverse(j) for j in jacs]),
-        "pinv_damped": np.array([dyn.pseudo_inverse(j, 0.05) for j in jacs]),
     }
 
 
@@ -196,15 +195,7 @@ class TestPseudoInverse:
         jac = np.zeros((3, 4))
         jac[0] = jac[1] = [1.0, 2.0, 3.0, 4.0]
         with pytest.raises(dyn.SingularJacobian):
-            dyn.pseudo_inverse(jac, damping=0.0)
-
-    def test_damped_never_raises(self):
-        jac = np.zeros((3, 4))
-        pinv = dyn.pseudo_inverse(jac, damping=1e-3)
-        assert np.isfinite(pinv).all()
-        for cond in (1e10, 1e14, 1e20):
-            pinv = dyn.pseudo_inverse(conditioned_jacobian(cond), damping=1e-3)
-            assert np.isfinite(pinv).all()
+            dyn.pseudo_inverse(jac)
 
     def test_lapack_solve_matches_numpy(self):
         """pseudo_inverse solves J J^T X = J with dgesv and transposes a
@@ -213,19 +204,17 @@ class TestPseudoInverse:
         controller's J+ v matvec depends.  A build whose LAPACK differs, or a
         result in another layout, fails here before it can move a trace."""
         rng = np.random.default_rng(79)
-        for k in range(1000):
+        for _ in range(1000):
             jac = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-2, 3)
-            damping = (0.0, 0.05)[k % 2]
-            jjt = jac @ jac.T + damping ** 2 * np.eye(3)
-            want = np.linalg.solve(jjt, jac).T
-            got = dyn.pseudo_inverse(jac, damping)
+            want = np.linalg.solve(jac @ jac.T, jac).T
+            got = dyn.pseudo_inverse(jac)
             assert got.tobytes() == want.tobytes()
             assert got.strides == want.strides
 
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(dyn, "dgesv", lambda a, b: (a, None, b, 2))
         with pytest.raises(np.linalg.LinAlgError):
-            dyn.pseudo_inverse(np.eye(3, 4), damping=0.1)
+            dyn.pseudo_inverse(np.eye(3, 4))
 
     @settings(max_examples=400, deadline=None)
     @given(jac=RANK_TEST_JACOBIANS)
