@@ -35,7 +35,12 @@ class ContactConfig:
 
 @dataclass
 class SetpointConfig:
-    force: float = -25.0
+    force: float = -25.0           # N along the belt normal +x; pressing is negative
+
+    def __post_init__(self):
+        if not -np.inf < self.force < 0.0:
+            raise ValueError(f"setpoint force must be finite and negative (pressing into "
+                             f"the belt), got {self.force:g}")
 
 
 @dataclass
@@ -51,6 +56,10 @@ class ObjectConfig:
     def __post_init__(self):
         if not self.sides >= 3:
             raise ValueError("object sides must be at least 3")
+        # radii() swings mean_radius by radius_variation either way
+        if not abs(self.radius_variation) < self.mean_radius:
+            raise ValueError(f"object radius_variation ({self.radius_variation:g}) must be "
+                             f"smaller in size than mean_radius ({self.mean_radius:g})")
 
     def radii(self) -> np.ndarray:
         k = np.arange(self.sides)
@@ -71,6 +80,8 @@ class SimConfig:
                 raise ValueError(f"sim {name} must be positive and finite")
         if self.dt_physics > MAX_STEP:
             raise ValueError(f"sim dt_physics must not exceed the {MAX_STEP:g} s integrator step")
+        if not self.seed >= 0:
+            raise ValueError(f"sim seed must be at least 0, got {self.seed}")
 
 
 @dataclass

@@ -98,8 +98,7 @@ def velocity_error(qdot: np.ndarray, qdot_ref: np.ndarray) -> np.ndarray:
 
 def rbf_activation(net: RbfNetwork, q, qdot, qdot_ref, qddot_ref) -> np.ndarray:
     """Gaussian activations of the stacked input (q, qdot, qdot_ref, qddot_ref)."""
-    inp = np.concatenate([np.asarray(v, dtype=float).reshape(-1)
-                          for v in (q, qdot, qdot_ref, qddot_ref)])
+    inp = np.concatenate((q, qdot, qdot_ref, qddot_ref))
     d2 = ((net.centers - inp) ** 2).sum(axis=1)
     # a float's ** 2 calls libm pow, which rounds some squares differently
     # from the product
@@ -109,7 +108,7 @@ def rbf_activation(net: RbfNetwork, q, qdot, qdot_ref, qddot_ref) -> np.ndarray:
 def _switch(vel_err: np.ndarray, boundary: float) -> np.ndarray:
     if boundary == 0.0:
         return np.sign(vel_err)
-    return np.clip(vel_err / boundary, -1.0, 1.0)
+    return np.minimum(np.maximum(vel_err / boundary, -1.0), 1.0)
 
 
 def control_law(gains: ControlConfig, net: RbfNetwork, vel_err: np.ndarray,

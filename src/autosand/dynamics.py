@@ -9,13 +9,24 @@ The Coriolis matrix is assembled from Christoffel symbols of the closed-form
 mass matrix, which makes dM/dt - 2C exactly skew-symmetric; the convergence
 analysis of the adaptive controller leans on that identity.
 
-``step`` runs ten times per control tick, so ``dynamics_terms`` builds M and
-C entry by entry from scalars, with the operations of the matrix form they
-replace, and ``step`` does its kinematics, forces and joint-limit test on
-Python floats.  Dot products and matvecs stay numpy calls, whose summation
-order scalar code would not reproduce, and the acceleration is solved with
-LAPACK ``dgesv``, which ``np.linalg.solve`` calls.  The results are
-bit-identical to the matrix form, which ``tests/data/dynamics_ref.npz`` pins.
+The belt is the plane x = ``plane_offset``, with its normal along +x.
+
+``step`` runs ten times per control tick, so ``dynamics_terms`` and ``step``
+do their arithmetic on Python floats, with the model's constant terms
+computed once per ``RobotModel``.  The results are bit-identical to the
+matrix form, which ``tests/data/dynamics_ref.npz`` pins:
+
+- The 4-column matvecs, D3 qdot and D4 qdot in C, C qdot and the contact
+  rate (J qdot)[0], are scalar sums in the order numpy's BLAS (OpenBLAS)
+  sums a C-ordered row without FMA: (a0 x0 + a2 x2) + (a1 x1 + a3 x3), then
+  + 0.0 from the kernel's zero start.  Zero entries stay in the sums as
+  0.0 * x terms, so even the signs of zeros match.
+  ``test_row_sums_match_numpy`` checks that order against this build.
+- Three calls stay in numpy: the transposed matvec J^T f and the dot
+  product qdot . qdot of the runaway test, whose BLAS kernels sum with FMA,
+  which Python floats cannot reproduce, and LAPACK ``dgesv`` for the
+  acceleration, which ``np.linalg.solve`` calls.
+
 ``pseudo_inverse`` solves with ``dgesv`` too and transposes a C-ordered copy
 of the solution, so its result has the memory layout of ``np.linalg.solve``'s,
 on which the summation order of the controller's ``J+ v`` matvec depends.
@@ -50,6 +61,11 @@ class JointLimitViolation(Exception):
 
 def _arr(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def _floats(v) -> list:
+    """The entries of a vector, given as an array or a sequence, as Python numbers."""
+    return v.tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]
 
 
 @dataclass
@@ -88,58 +104,72 @@ class RobotModel:
             raise ValueError("joint limits need min < max per joint")
         if (self.velocity_limits <= 0).any() or (self.acceleration_limits <= 0).any():
             raise ValueError("velocity/acceleration limits must be positive")
+        self._hoist_constants()
+
+    def _hoist_constants(self):
+        """The constant terms of dynamics_terms and step, as Python floats,
+        associated as dynamics_terms adds them."""
+        m1, m2, m3, m4 = self.link_masses.tolist()
+        self.l1, self.l2 = l1, l2 = self.link_lengths.tolist()
+        r1, r2, r3, r4 = self.rotor_inertias.tolist()
+        i3 = m3 * l1 * l1 / 12.0
+        i4 = m4 * l2 * l2 / 12.0
+        self.alpha = (0.5 * m3 + m4) * l1
+        self.beta = 0.5 * m4 * l2
+        self.gam = 0.5 * m4 * l1 * l2
+        self.gam2 = 2.0 * self.gam
+        m234 = m2 + m3 + m4
+        self.k33 = (0.25 * m3 + m4) * l1 * l1 + i3 + 0.25 * m4 * l2 * l2 + i4
+        self.k34 = 0.25 * m4 * l2 * l2 + i4
+        self.m00 = m1 + m2 + m3 + m4 + r1
+        self.m11 = m234 + r2
+        self.r3 = r3
+        self.m44 = self.k34 + r4
+        self.gm234 = self.gravity * m234
+        self.limits = self.joint_limits.tolist()
 
 
 @dataclass
 class BeltContact:
-    """Unilateral spring-damper belt surface: the plane normal . x = plane_offset.
+    """Unilateral spring-damper belt surface: the plane x = plane_offset.
 
-    ``normal`` points from free space into the belt material, so pressing into
-    the belt yields a negative force along ``normal``.  ``drag`` is a constant
-    tangential abrasion force applied only while in contact; it acts on the
-    plant but is not part of the ideal normal contact law.
+    The belt's normal is +x, from free space into the belt material, so
+    pressing into the belt yields a negative force along x.  ``drag`` is a
+    constant abrasion force along -y, applied only while in contact; it acts
+    on the plant but is not part of the ideal normal contact law.
     """
 
     plane_offset: float
     stiffness: float = 1e4
     damping: float = 50.0
-    normal: np.ndarray = (1.0, 0.0, 0.0)
     drag: float = 0.0
-    tangent: np.ndarray = (0.0, -1.0, 0.0)
 
     def __post_init__(self):
-        self.normal = _arr(self.normal).reshape(3)
-        self.tangent = _arr(self.tangent).reshape(3)
         if self.stiffness <= 0:
             raise ValueError("contact stiffness must be positive")
         if self.damping < 0:
             raise ValueError("contact damping must be non-negative")
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-            raise ValueError("contact normal must be a unit vector")
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Task-space position (px, py, phi) of the end effector."""
-    l1, l2 = model.link_lengths
-    th1 = q[2]
-    phi = q[2] + q[3]
-    return np.array([q[0] + l1 * math.cos(th1) + l2 * math.cos(phi),
-                     q[1] + l1 * math.sin(th1) + l2 * math.sin(phi),
+    l1, l2 = model.l1, model.l2
+    q0, q1, th1, th2 = _floats(q)
+    phi = th1 + th2
+    return np.array([q0 + l1 * math.cos(th1) + l2 * math.cos(phi),
+                     q1 + l1 * math.sin(th1) + l2 * math.sin(phi),
                      phi])
 
 
 def jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Analytic task Jacobian; the prismatic columns are the identity block."""
-    l1, l2 = model.link_lengths
-    th1 = q[2]
-    phi = q[2] + q[3]
-    a = -l1 * math.sin(th1) - l2 * math.sin(phi)
-    b = -l2 * math.sin(phi)
-    c = l1 * math.cos(th1) + l2 * math.cos(phi)
-    d = l2 * math.cos(phi)
-    return np.array([[1.0, 0.0, a, b],
-                     [0.0, 1.0, c, d],
-                     [0.0, 0.0, 1.0, 1.0]])
+    l1, l2 = model.l1, model.l2
+    _, _, th1, th2 = _floats(q)
+    phi = th1 + th2
+    s12, c12 = math.sin(phi), math.cos(phi)
+    return np.array([1.0, 0.0, -l1 * math.sin(th1) - l2 * s12, -l2 * s12,
+                     0.0, 1.0, l1 * math.cos(th1) + l2 * c12, l2 * c12,
+                     0.0, 0.0, 1.0, 1.0]).reshape(3, 4)
 
 
 def pseudo_inverse(jac: np.ndarray) -> np.ndarray:
@@ -175,89 +205,73 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     C = (A + B - B^T) / 2, where A = D3 qdot[2] + D4 qdot[3] and B is zero
     but for its columns 2 and 3, D3 qdot and D4 qdot.
     """
-    m1, m2, m3, m4 = model.link_masses.tolist()
-    l1, l2 = model.link_lengths.tolist()
-    r1, r2, r3, r4 = model.rotor_inertias.tolist()
-    i3 = m3 * l1 * l1 / 12.0
-    i4 = m4 * l2 * l2 / 12.0
-    alpha = (0.5 * m3 + m4) * l1
-    beta = 0.5 * m4 * l2
-    gam = 0.5 * m4 * l1 * l2
-
-    th1 = float(q[2])
-    th2 = float(q[3])
+    _, _, th1, th2 = _floats(q)
+    qd0, qd1, qd2, qd3 = _floats(qdot)
     phi = th1 + th2
     s1, c1 = math.sin(th1), math.cos(th1)
     s12, c12 = math.sin(phi), math.cos(phi)
     s2, c2 = math.sin(th2), math.cos(th2)
 
-    m234 = m2 + m3 + m4
+    alpha, beta, gam = model.alpha, model.beta, model.gam
     m13 = -alpha * s1 - beta * s12
     m14 = -beta * s12
     m23 = alpha * c1 + beta * c12
     m24 = beta * c12
-    m33 = (0.25 * m3 + m4) * l1 * l1 + i3 + 0.25 * m4 * l2 * l2 + i4 + 2.0 * gam * c2
-    m34 = 0.25 * m4 * l2 * l2 + i4 + gam * c2
-    m44 = 0.25 * m4 * l2 * l2 + i4
+    m34 = model.k34 + gam * c2
     mass = np.array([
-        [m1 + m2 + m3 + m4 + r1, 0.0, m13, m14],
-        [0.0, m234 + r2, m23, m24],
-        [m13, m23, m33 + r3, m34],
-        [m14, m24, m34, m44 + r4],
-    ])
+        model.m00, 0.0, m13, m14,
+        0.0, model.m11, m23, m24,
+        m13, m23, model.k33 + model.gam2 * c2 + model.r3, m34,
+        m14, m24, m34, model.m44,
+    ]).reshape(4, 4)
 
     # the carriage coordinates never appear in M; m13 and m14 recur here as
     # the derivatives of m23 and m24
     dm13 = -alpha * c1 - beta * c12
     dm14 = -beta * c12
-    dm33 = -2.0 * gam * s2
+    dm33 = -model.gam2 * s2
     dm34 = -gam * s2
-    # D3 over D4: one 8x4 matvec equals two 4x4 ones bit for bit
-    d34 = np.array([
-        [0.0, 0.0, dm13, dm14],
-        [0.0, 0.0, m13, m14],
-        [dm13, m13, 0.0, 0.0],
-        [dm14, m14, 0.0, 0.0],
-        [0.0, 0.0, dm14, dm14],
-        [0.0, 0.0, m14, m14],
-        [dm14, m14, dm33, dm34],
-        [dm14, m14, dm34, 0.0],
-    ])
-
-    # A is symmetric; B's columns stay a numpy matvec, whose summation order
-    # scalar code would not reproduce.  The 0.0 terms repeat the zero
-    # entries of the matrix form, so even the signs of zeros match it.
-    dth1, dth2 = float(qdot[2]), float(qdot[3])
-    a02 = dm13 * dth1 + dm14 * dth2
-    a03 = dm14 * dth1 + dm14 * dth2
-    a12 = m13 * dth1 + m14 * dth2
-    a13 = m14 * dth1 + m14 * dth2
-    a22 = 0.0 * dth1 + dm33 * dth2
-    a23 = 0.0 * dth1 + dm34 * dth2
-    b34 = (d34 @ qdot).tolist()
-    b3, b4 = b34[:4], b34[4:]
+    # B's columns D3 qdot and D4 qdot, row by row as numpy's matvec sums
+    # them (see the module docstring), zero entries included
+    z0, z1, z2, z3 = 0.0 * qd0, 0.0 * qd1, 0.0 * qd2, 0.0 * qd3
+    b30 = ((z0 + dm13 * qd2) + (z1 + dm14 * qd3)) + 0.0
+    b31 = ((z0 + m13 * qd2) + (z1 + m14 * qd3)) + 0.0
+    b32 = ((dm13 * qd0 + z2) + (m13 * qd1 + z3)) + 0.0
+    b33 = ((dm14 * qd0 + z2) + (m14 * qd1 + z3)) + 0.0
+    b40 = ((z0 + dm14 * qd2) + (z1 + dm14 * qd3)) + 0.0
+    b41 = ((z0 + m14 * qd2) + (z1 + m14 * qd3)) + 0.0
+    b42 = ((dm14 * qd0 + dm33 * qd2) + (m14 * qd1 + dm34 * qd3)) + 0.0
+    # D4 qdot's last row is no entry of C
+    # A is symmetric; its zero entries and B's stay in the sums, so even the
+    # signs of zeros match the matrix form
+    a02 = dm13 * qd2 + dm14 * qd3
+    a03 = dm14 * qd2 + dm14 * qd3
+    a12 = m13 * qd2 + m14 * qd3
+    a13 = m14 * qd2 + m14 * qd3
+    a22 = z2 + dm33 * qd3
+    a23 = z2 + dm34 * qd3
     cor = np.array([
-        [0.0, 0.0, 0.5 * (a02 + b3[0]), 0.5 * (a03 + b4[0])],
-        [0.0, 0.0, 0.5 * (a12 + b3[1]), 0.5 * (a13 + b4[1])],
-        [0.5 * (a02 + 0.0 - b3[0]), 0.5 * (a12 + 0.0 - b3[1]),
-         0.5 * (a22 + b3[2] - b3[2]), 0.5 * (a23 + b4[2] - b3[3])],
-        [0.5 * (a03 + 0.0 - b4[0]), 0.5 * (a13 + 0.0 - b4[1]),
-         0.5 * (a23 + b3[3] - b4[2]), 0.0],
-    ])
+        0.0, 0.0, 0.5 * (a02 + b30), 0.5 * (a03 + b40),
+        0.0, 0.0, 0.5 * (a12 + b31), 0.5 * (a13 + b41),
+        0.5 * (a02 + 0.0 - b30), 0.5 * (a12 + 0.0 - b31),
+        0.5 * (a22 + b32 - b32), 0.5 * (a23 + b42 - b33),
+        0.5 * (a03 + 0.0 - b40), 0.5 * (a13 + 0.0 - b41),
+        0.5 * (a23 + b33 - b42), 0.0,
+    ]).reshape(4, 4)
 
     g = model.gravity
-    grav = np.array([g * 0.0, g * m234, g * m23, g * m24])
+    grav = np.array([g * 0.0, model.gm234, g * m23, g * m24])
     return mass, cor, grav
 
 
 def contact_force(contact: BeltContact, x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     """Normal contact force at task pose x and rate xdot; identically zero out
     of contact, continuous at touch."""
-    depth = float(x @ contact.normal) - contact.plane_offset
+    depth = float(x[0]) - contact.plane_offset
     if depth <= 0.0:
         return np.zeros(3)
-    rate = max(float(xdot @ contact.normal), 0.0)
-    return -(contact.stiffness * depth + contact.damping * rate) * contact.normal
+    push = -(contact.stiffness * depth + contact.damping * max(float(xdot[0]), 0.0))
+    return np.array([push, push * 0.0, push * 0.0])
 
 
 def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
@@ -268,50 +282,73 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
     Returns the new (q, qdot).  Contact forces are evaluated at the current
     state.  ``external_torque`` injects an unmodelled joint-space disturbance
     (test plumbing).  ``t`` is the simulated time at the start of the step;
-    it only names the moment of a failure in the error message.
+    it only names the moment of a failure in the error message.  A velocity
+    that is not finite fails the runaway test, a joint that is not finite
+    the joint-limit test.
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
     mass, cor, grav = dynamics_terms(model, q, qdot)
-    tau = u - cor @ qdot - grav
+    q0, q1, th1, th2 = _floats(q)
+    qd0, qd1, qd2, qd3 = _floats(qdot)
+    z0, z1, z3 = 0.0 * qd0, 0.0 * qd1, 0.0 * qd3
+    _, _, c02, c03, _, _, c12, c13, c20, c21, c22, c23, c30, c31, c32, _ = \
+        cor.ravel().tolist()
+    g0, g1, g2, g3 = grav.tolist()
+    u0, u1, u2, u3 = _floats(u)
+    # u - C qdot - g, with C qdot summed as numpy's matvec sums it
+    tau = [u0 - (((z0 + c02 * qd2) + (z1 + c03 * qd3)) + 0.0) - g0,
+           u1 - (((z0 + c12 * qd2) + (z1 + c13 * qd3)) + 0.0) - g1,
+           u2 - (((c20 * qd0 + c22 * qd2) + (c21 * qd1 + c23 * qd3)) + 0.0) - g2,
+           u3 - (((c30 * qd0 + c32 * qd2) + (c31 * qd1 + z3)) + 0.0) - g3]
     if contact is not None:
         # forward_kinematics, jacobian and contact_force inlined, plus the drag
-        q0, q1, th1, th2 = np.asarray(q).tolist()
-        l1, l2 = model.link_lengths.tolist()
+        l1, l2 = model.l1, model.l2
         phi = th1 + th2
         s1, c1 = math.sin(th1), math.cos(th1)
         s12, c12 = math.sin(phi), math.cos(phi)
-        x = np.array([q0 + l1 * c1 + l2 * c12, q1 + l1 * s1 + l2 * s12, phi])
-        depth = float(x @ contact.normal) - contact.plane_offset
+        depth = (q0 + l1 * c1 + l2 * c12) - contact.plane_offset
         # a NaN depth applies its NaN force, for the runaway test to catch
         if not depth <= 0.0:
-            jac = np.array([[1.0, 0.0, -l1 * s1 - l2 * s12, -l2 * s12],
-                            [0.0, 1.0, l1 * c1 + l2 * c12, l2 * c12],
-                            [0.0, 0.0, 1.0, 1.0]])
-            rate = max(float((jac @ qdot) @ contact.normal), 0.0)
+            j02, j03 = -l1 * s1 - l2 * s12, -l2 * s12
+            rate = max(((qd0 + j02 * qd2) + (z1 + j03 * qd3)) + 0.0, 0.0)
             push = -(contact.stiffness * depth + contact.damping * rate)
-            drag = [0.0] * 3 if contact.drag == 0.0 else \
-                [contact.drag * v for v in contact.tangent.tolist()]
-            f = [push * n + d for n, d in zip(contact.normal.tolist(), drag)]
+            # push (1, 0, 0) + drag (0, -1, 0), signs of zeros included
+            zero = push * 0.0
+            drag = contact.drag
+            d0, d1, d2 = (0.0, 0.0, 0.0) if drag == 0.0 else \
+                (drag * 0.0, drag * -1.0, drag * 0.0)
+            f = [push + d0, zero + d1, zero + d2]
             if f[0] or f[1] or f[2]:
-                tau = tau + jac.T @ np.array(f)
+                jac = np.array([1.0, 0.0, j02, j03,
+                                0.0, 1.0, l1 * c1 + l2 * c12, l2 * c12,
+                                0.0, 0.0, 1.0, 1.0]).reshape(3, 4)
+                # J^T f stays a numpy call: its kernel sums with FMA
+                jf0, jf1, jf2, jf3 = (jac.T @ np.array(f)).tolist()
+                tau = [tau[0] + jf0, tau[1] + jf1, tau[2] + jf2, tau[3] + jf3]
     if external_torque is not None:
-        tau = tau + external_torque
+        e0, e1, e2, e3 = _floats(external_torque)
+        tau = [tau[0] + e0, tau[1] + e1, tau[2] + e2, tau[3] + e3]
     _, _, qddot, info = dgesv(mass, tau)
     if info:
         raise np.linalg.LinAlgError(f"singular mass matrix at t = {t:.4f}")
-    qdot_new = qdot + dt * qddot
-    # written so that a NaN velocity fails the test too
-    speed = math.sqrt(qdot_new @ qdot_new)
+    a0, a1, a2, a3 = qddot.tolist()
+    v0, v1, v2, v3 = qd0 + dt * a0, qd1 + dt * a1, qd2 + dt * a2, qd3 + dt * a3
+    qdot_new = np.array([v0, v1, v2, v3])
+    # numpy's dot, whose kernel sums with FMA; written so that a NaN
+    # velocity fails the test too
+    speed = math.sqrt(qdot_new.dot(qdot_new))
     if not speed <= QDOT_RUNAWAY:
         raise IntegrationDiverged(f"|qdot| = {speed:.3g} at t = {t:.4f}")
-    q_new = q + dt * qdot_new
-    for j, (v, (low, high)) in enumerate(zip(q_new.tolist(),
-                                             model.joint_limits.tolist())):
-        if v < low or v > high:
-            raise JointLimitViolation(
-                f"joint {j} at {v:.4f} outside [{low}, {high}] at t = {t:.4f}")
-    return q_new, qdot_new
+    q_new = [q0 + dt * v0, q1 + dt * v1, th1 + dt * v2, th2 + dt * v3]
+    (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3) = model.limits
+    if not (lo0 <= q_new[0] <= hi0 and lo1 <= q_new[1] <= hi1
+            and lo2 <= q_new[2] <= hi2 and lo3 <= q_new[3] <= hi3):
+        for j, (v, (low, high)) in enumerate(zip(q_new, model.limits)):
+            if not low <= v <= high:
+                raise JointLimitViolation(
+                    f"joint {j} at {v:.4f} outside [{low}, {high}] at t = {t:.4f}")
+    return np.array(q_new), qdot_new
 
 
 def mechanical_energy(model: RobotModel, q: np.ndarray, qdot: np.ndarray) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -111,6 +112,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     xd_dot = np.zeros(3)            # constant setpoint: no feedforward
     qdr_prev = None
 
+    step, contact, dt_physics = dyn.step, setup.contact, setup.dt_physics
     log = np.zeros((n_ctrl, len(LOG_COLUMNS)))
     z_hist = np.zeros((n_ctrl, 3))
 
@@ -118,8 +120,8 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         x = dyn.forward_kinematics(model, q)
         jac = dyn.jacobian(model, q)
         xdot = jac @ qdot
-        if setup.contact is not None:
-            f_meas = dyn.contact_force(setup.contact, x, xdot)
+        if contact is not None:
+            f_meas = dyn.contact_force(contact, x, xdot)
         else:
             f_meas = np.zeros(3)
         if setup.force_noise > 0.0:
@@ -135,7 +137,8 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         theta = ctl.rbf_activation(net, q, qdot, qdr, qddr)
         u = ctl.control_law(setup.gains, net, zq, theta, jac.T @ f_meas)
         ctl.weight_update(net, theta, zq, setup.dt_control)
-        w_norm = np.linalg.norm(net.weights)
+        w = net.weights.ravel()
+        w_norm = math.sqrt(w.dot(w))        # np.linalg.norm's sum and root
         if not np.isfinite(w_norm):
             raise dyn.IntegrationDiverged(f"RBF weights not finite at t = {t:.4f}")
 
@@ -146,9 +149,8 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
 
         tau_ext = setup.disturbance(t) if setup.disturbance else None
         for _ in range(n_sub):
-            q, qdot = dyn.step(model, q, qdot, u, setup.contact, setup.dt_physics,
-                               external_torque=tau_ext, t=t)
-            t += setup.dt_physics
+            q, qdot = step(model, q, qdot, u, contact, dt_physics, tau_ext, t)
+            t += dt_physics
 
     col = LOG_COLUMNS.index
     times = log[:, 0]
@@ -157,7 +159,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     monitor = ctl.lyapunov_monitor(times, vel_errors, log[:, col("v_obs")])
     tail = times >= min((1.0 - ctl.TAIL_FRACTION) * setup.duration, times[-1])  # >= 1 tick
     after = times >= ctl.TRANSIENT
-    normal = setup.contact.normal if setup.contact is not None else np.array([1.0, 0, 0])
+    normal = np.array([1.0, 0.0, 0.0])     # the belt normal of dyn.BeltContact
     steady_force = float((forces[tail] @ normal).mean())
     target = float(setup.f_d @ normal)
     zq_norm = np.linalg.norm(vel_errors, axis=1)

@@ -90,6 +90,9 @@ class ScannerConfig:
             raise ValueError("scanner view_dir must be a finite, non-zero 3-vector")
         if not self.n_views >= 2:
             raise ValueError("scanner n_views must be at least 2")
+        if not 0.0 <= self.depth_noise < np.inf:
+            raise ValueError(f"scanner depth_noise must be finite and at least 0, "
+                             f"got {self.depth_noise:g}")
 
 
 def _face_samples(mesh: ConvexShape, face: int, scanner: ScannerConfig,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -80,26 +81,92 @@ def transform_chain(model, q):
     return np.array([chain[0, 2], chain[1, 2], q[2] + q[3]])
 
 
+NORMAL = np.array([1.0, 0.0, 0.0])      # the belt's: BeltContact is the plane x = offset
+TANGENT = np.array([0.0, -1.0, 0.0])    # the direction of the drag
+
+
+def vector_contact_force(contact, x, xdot):
+    """``contact_force`` as it was written on vectors, along the belt normal."""
+    depth = float(x @ NORMAL) - contact.plane_offset
+    if depth <= 0.0:
+        return np.zeros(3)
+    rate = max(float(xdot @ NORMAL), 0.0)
+    return -(contact.stiffness * depth + contact.damping * rate) * NORMAL
+
+
 def vector_step(model, q, qdot, u, contact, dt, external_torque=None):
     """``step`` as it was written on vectors, through forward_kinematics,
-    jacobian, contact_force and the drag vector, without the runaway and
-    joint-limit tests: the reference that the scalar contact path of
+    jacobian, the vector contact force and the drag vector, without the
+    runaway and joint-limit tests: the reference that the scalar sums of
     ``step`` must equal bit for bit."""
     mass, cor, grav = dyn.dynamics_terms(model, q, qdot)
     tau = u - cor @ qdot - grav
     if contact is not None:
         jac = dyn.jacobian(model, q)
         x = dyn.forward_kinematics(model, q)
-        depth = float(x @ contact.normal) - contact.plane_offset
+        depth = float(x @ NORMAL) - contact.plane_offset
         drag = np.zeros(3) if depth <= 0.0 or contact.drag == 0.0 \
-            else contact.drag * contact.tangent
-        f = dyn.contact_force(contact, x, jac @ qdot) + drag
+            else contact.drag * TANGENT
+        f = vector_contact_force(contact, x, jac @ qdot) + drag
         if f.any():
             tau = tau + jac.T @ f
     if external_torque is not None:
         tau = tau + external_torque
     qdot_new = qdot + dt * np.linalg.solve(mass, tau)
     return q + dt * qdot_new, qdot_new
+
+
+def matrix_terms(model, q, qdot):
+    """``dynamics_terms`` on matrices: M and g in closed form, and
+    C = (A + B - B^T) / 2 with B's columns the numpy matvecs D3 qdot and
+    D4 qdot."""
+    m1, m2, m3, m4 = model.link_masses
+    l1, l2 = model.link_lengths
+    r1, r2, r3, r4 = model.rotor_inertias
+    i3, i4 = m3 * l1 * l1 / 12.0, m4 * l2 * l2 / 12.0
+    alpha, beta, gam = (0.5 * m3 + m4) * l1, 0.5 * m4 * l2, 0.5 * m4 * l1 * l2
+    th1, th2 = q[2], q[3]
+    s1, c1 = math.sin(th1), math.cos(th1)
+    s12, c12 = math.sin(th1 + th2), math.cos(th1 + th2)
+    s2, c2 = math.sin(th2), math.cos(th2)
+    m13, m14 = -alpha * s1 - beta * s12, -beta * s12
+    m23, m24 = alpha * c1 + beta * c12, beta * c12
+    m33 = (0.25 * m3 + m4) * l1 * l1 + i3 + 0.25 * m4 * l2 * l2 + i4 + 2.0 * gam * c2
+    m34 = 0.25 * m4 * l2 * l2 + i4 + gam * c2
+    m44 = 0.25 * m4 * l2 * l2 + i4
+    mass = np.array([[m1 + m2 + m3 + m4 + r1, 0.0, m13, m14],
+                     [0.0, m2 + m3 + m4 + r2, m23, m24],
+                     [m13, m23, m33 + r3, m34],
+                     [m14, m24, m34, m44 + r4]])
+    dm13, dm14 = -alpha * c1 - beta * c12, -beta * c12
+    dm33, dm34 = -2.0 * gam * s2, -gam * s2
+    d3 = np.array([[0.0, 0.0, dm13, dm14], [0.0, 0.0, m13, m14],
+                   [dm13, m13, 0.0, 0.0], [dm14, m14, 0.0, 0.0]])
+    d4 = np.array([[0.0, 0.0, dm14, dm14], [0.0, 0.0, m14, m14],
+                   [dm14, m14, dm33, dm34], [dm14, m14, dm34, 0.0]])
+    a = d3 * qdot[2] + d4 * qdot[3]
+    b = np.zeros((4, 4))
+    b[:, 2], b[:, 3] = d3 @ qdot, d4 @ qdot
+    cor = 0.5 * (a + b - b.T)
+    g = model.gravity
+    return mass, cor, np.array([g * 0.0, g * (m2 + m3 + m4), g * m23, g * m24])
+
+
+def signed_zero_state(rng):
+    """A seeded (q, qdot) in which angles (so sines) and rates are often
+    exact zeros of either sign."""
+    q = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-3.2, 3.2, 2)])
+    qdot = rng.uniform(-2, 2, 4) * 10.0 ** rng.integers(-3, 1)
+    zero = rng.random(6) < 0.3
+    q[2:][zero[:2]] = rng.choice([0.0, -0.0], 2)[zero[:2]]
+    qdot[zero[2:]] = rng.choice([0.0, -0.0], 4)[zero[2:]]
+    return q, qdot
+
+
+def row_sum(row, x):
+    """The 4-column row times x in the order numpy's matvec sums it."""
+    (a0, a1, a2, a3), (x0, x1, x2, x3) = row, x
+    return ((a0 * x0 + a2 * x2) + (a1 * x1 + a3 * x3)) + 0.0
 
 
 class TestForwardKinematics:
@@ -274,6 +341,16 @@ class TestDynamicsTerms:
             skew = mdot - 2 * cor
             assert np.abs(skew + skew.T).max() < 1e-7
 
+    def test_terms_match_matrix_form(self, model):
+        """The scalar sums of dynamics_terms equal the matrix form
+        (``matrix_terms``) bit for bit, signed zeros included."""
+        rng = np.random.default_rng(93)
+        for k in range(2000):
+            q, qdot = signed_zero_state(rng)
+            for got, want in zip(dyn.dynamics_terms(model, q, qdot),
+                                 matrix_terms(model, q, qdot)):
+                assert got.tobytes() == want.tobytes(), k
+
     def test_statics(self, model, rng):
         q = rng.uniform(-1, 1, 4)
         _, cor, grav = dyn.dynamics_terms(model, q, np.zeros(4))
@@ -378,31 +455,71 @@ class TestStep:
             dyn.step(model, q, np.zeros(4), np.zeros(4), contact, 1e-4)
 
     def test_contact_path_matches_vector_form(self):
-        """The scalar kinematics and forces of step equal the vector form
-        (``vector_step``) bit for bit, signed zeros included, on seeded
-        states on both sides of the belt, exactly on it, with and without
-        drag, damping and an external torque."""
+        """The scalar kinematics, forces and sums of step equal the vector
+        form (``vector_step``) bit for bit, signed zeros included, on seeded
+        states on both sides of the belt, exactly on it and in free flight,
+        with and without drag, damping and an external torque; so does
+        contact_force."""
         rng = np.random.default_rng(91)
         model = dyn.RobotModel(joint_limits=((-50.0, 50.0),) * 4)
         for k in range(2000):
-            q = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-3.2, 3.2, 2)])
-            qdot = rng.uniform(-2, 2, 4) * 10.0 ** rng.integers(-3, 1)
-            if k % 5 == 0:
-                qdot[rng.integers(4)] = (0.0, -0.0)[k % 2]
+            q, qdot = signed_zero_state(rng)
             u = rng.standard_normal(4) * 10.0 ** rng.integers(-2, 3)
-            angle = rng.uniform(-math.pi, math.pi)
-            normal = np.array([math.cos(angle), math.sin(angle), 0.0])
+            u[rng.random(4) < 0.2] = (0.0, -0.0)[k % 2]
             depth = 0.0 if k % 7 == 0 else rng.uniform(-3e-3, 3e-3)
-            offset = float(dyn.forward_kinematics(model, q) @ normal) - depth
+            x = dyn.forward_kinematics(model, q)
             contact = dyn.BeltContact(
-                offset, stiffness=10.0 ** rng.uniform(2, 6),
-                damping=(0.0, 50.0, 800.0)[k % 3], normal=normal,
-                drag=(0.0, 2.0, -1.5)[k % 3 - 1], tangent=(-normal[1], normal[0], 0.0))
+                float(x[0]) - depth, stiffness=10.0 ** rng.uniform(2, 6),
+                damping=(0.0, 50.0, 800.0)[k % 3], drag=(0.0, 2.0, -1.5)[k % 3 - 1])
             tau_ext = None if k % 2 else rng.standard_normal(4)
-            got = dyn.step(model, q, qdot, u, contact, 1e-4, tau_ext)
-            want = vector_step(model, q, qdot, u, contact, 1e-4, tau_ext)
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes(), k
+            for belt in (contact, None):
+                got = dyn.step(model, q, qdot, u, belt, 1e-4, tau_ext)
+                want = vector_step(model, q, qdot, u, belt, 1e-4, tau_ext)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), k
+            xdot = dyn.jacobian(model, q) @ qdot
+            assert (dyn.contact_force(contact, x, xdot).tobytes()
+                    == vector_contact_force(contact, x, xdot).tobytes()), k
+
+    def test_zero_states_match_vector_form(self, wide_model):
+        """With gravity off, every sign pattern of zero rates and torques,
+        at zero angles of either sign, in free flight and pressed 1 mm into
+        the belt: the states where the + 0.0 of numpy's row sums decides
+        the sign of a zero that reaches the result."""
+        model = dyn.RobotModel(gravity=0.0, joint_limits=wide_model.joint_limits)
+        signs = list(itertools.product((0.0, -0.0), repeat=4))
+        for th in itertools.product((0.0, -0.0), repeat=2):
+            q = np.array([0.0, 0.0, *th])
+            x0 = float(dyn.forward_kinematics(model, q)[0])
+            for drag in (None, 0.0, 2.0):
+                belt = None if drag is None else dyn.BeltContact(x0 - 1e-3, drag=drag)
+                for qdot, u in itertools.product(signs, signs):
+                    qdot, u = np.array(qdot), np.array(u)
+                    got = dyn.step(model, q, qdot, u, belt, 1e-4)
+                    want = vector_step(model, q, qdot, u, belt, 1e-4)
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes(), (th, drag, qdot, u)
+
+    def test_chains_match_vector_form(self):
+        """Ten steps chained from seeded states near the belt, each form
+        from its own last state, stay equal bit for bit: the states the
+        sanding loop feeds back, not only fresh ones."""
+        rng = np.random.default_rng(92)
+        model = dyn.RobotModel(joint_limits=((-50.0, 50.0),) * 4)
+        for k in range(200):
+            q = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-3.2, 3.2, 2)])
+            qdot = rng.uniform(-0.5, 0.5, 4)
+            u = rng.standard_normal(4) * 10.0
+            x = dyn.forward_kinematics(model, q)
+            contact = None if k % 4 == 0 else dyn.BeltContact(
+                float(x[0]) - rng.uniform(-1e-4, 1e-3), stiffness=1e4,
+                damping=(0.0, 800.0)[k % 2], drag=(0.0, 2.0)[k % 3 == 1])
+            got = want = (q, qdot)
+            for i in range(10):
+                got = dyn.step(model, *got, u, contact, 1e-4)
+                want = vector_step(model, *want, u, contact, 1e-4)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), (k, i)
 
     def test_lapack_solve_matches_numpy(self):
         """step solves with LAPACK dgesv directly; numpy's solve calls the
@@ -418,18 +535,26 @@ class TestStep:
             assert info == 0
             assert np.array_equal(x, np.linalg.solve(mass, tau))
 
-    def test_stacked_matvec_matches_separate(self):
-        """dynamics_terms stacks D3 on D4 and multiplies them by qdot in one
-        8x4 matvec.  On this numpy build that equals the two 4x4 matvecs of
-        the matrix form bit for bit, so C does not move; a build whose BLAS
-        sums the rows differently fails here before it moves a trace."""
-        rng = np.random.default_rng(78)
-        for _ in range(1000):
-            d34 = rng.standard_normal((8, 4)) * 10.0 ** rng.integers(-3, 3, (8, 1))
-            d34[rng.random((8, 4)) < 0.3] = 0.0
-            qdot = rng.standard_normal(4) * 10.0 ** rng.integers(-3, 3)
-            separate = np.concatenate([d34[:4] @ qdot, d34[4:] @ qdot])
-            assert (d34 @ qdot).tobytes() == separate.tobytes()
+    @pytest.mark.parametrize("rows", [8, 4, 3])
+    def test_row_sums_match_numpy(self, rows):
+        """dynamics_terms and step sum their 4-column matvecs on floats as
+        ``row_sum`` does: (a0 x0 + a2 x2) + (a1 x1 + a3 x3), then + 0.0, as
+        this numpy build's BLAS sums a C-ordered row (the + 0.0 is the
+        kernel's zero start, which turns a -0.0 sum into +0.0).  Exact and
+        signed zeros and magnitudes from 1e-3 to 1e3 included; a BLAS that
+        sums in another order fails here before it can move a stored trace."""
+        rng = np.random.default_rng(80 + rows)
+        checked = 0
+        while checked < 10000:
+            a = rng.standard_normal((rows, 4)) * 10.0 ** rng.uniform(-3, 3, (rows, 4))
+            a[rng.random((rows, 4)) < 0.25] = 0.0
+            a[rng.random((rows, 4)) < 0.1] = -0.0
+            x = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3, 4)
+            x[rng.random(4) < 0.2] = (0.0, -0.0)[checked % 2]
+            want = a @ x
+            got = np.array([row_sum(row, x.tolist()) for row in a.tolist()])
+            assert got.tobytes() == want.tobytes()
+            checked += rows
 
     def test_singular_mass_raises(self, model, monkeypatch):
         zero = np.zeros(4)

@@ -279,7 +279,7 @@ class TestSandingPhaseEdges:
             result = harness.simulate_sanding(setup)
         assert len(result.times) == round(duration / 1e-3)
         assert np.isfinite(result.steady_force)
-        assert result.steady_force == float(result.forces[-1] @ setup.contact.normal)
+        assert result.steady_force == float(result.forces[-1] @ np.array([1.0, 0.0, 0.0]))
 
     def test_report_written_on_stage_failure(self, tmp_path):
         cfg = small_config(**{"pipeline.home": (-0.3, 0.0, 0.0, 0.0)})
@@ -373,6 +373,42 @@ class TestCli:
             assert err.count("\n") == 1 and err.startswith("error:"), (path, err)
             assert not (out / "scans").exists()
             assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        "[setpoint]\nforce = 0\n",           # the grip ratio divided by it
+        "[setpoint]\nforce = 25\n",          # pulls away from the belt
+        "[setpoint]\nforce = nan\n",
+        "[sim]\nseed = -1\n",
+        "[scanner]\ndepth_noise = -1\n",
+        "[scanner]\ndepth_noise = inf\n",
+        "[object]\nradius_variation = 0.07\n",  # negative radii
+        "[object]\nradius_variation = -0.06\n"])
+    def test_out_of_domain_value_exit_code(self, tmp_path, capsys, text):
+        """A value outside its domain raises ValueError at load, so `run`
+        exits 1 with one error line and writes nothing."""
+        with pytest.raises(ValueError):
+            from_ini(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", [[1, 2], {"files": []},
+                                          {"files": [1], "angles": [0.0]},
+                                          {"files": ["v.ply"], "angles": ["0"]}])
+    def test_malformed_manifest_exit_code(self, tmp_path, capsys, manifest):
+        """A views.json that is not an object with a list of file names and
+        a list of angles is bad input: one error line, exit 1."""
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        (scans / "views.json").write_text(json.dumps(manifest))
+        assert cli.main(["model", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "views.json" in err, err
+        assert not (tmp_path / "model.ply").exists()
 
     @pytest.mark.parametrize("angles, sizes", [([0.0], [5]),            # one view
                                                ([0.0], [5, 5]),         # one angle for two
@@ -696,6 +732,38 @@ class TestScripts:
             assert lines[0] == ",".join(harness.LOG_COLUMNS)
             assert len(lines) == 1 + 200
             assert result.monitor is not None
+
+    def test_compare_runs(self, tmp_path, capsys):
+        """Two runs of one tiny config compare at zero deviation, their wall
+        times aside; a perturbed face log shows its deviation and exit 1."""
+        path = Path(__file__).parents[1] / "scripts" / "compare_runs.py"
+        spec = importlib.util.spec_from_file_location("compare_runs", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        cfg = small_config(**{"object.sides": 3, "sim.sanding_duration": 0.05,
+                              "planner.straight_line_cost": True})
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            harness.run_pipeline(cfg, run)
+        assert script.main([str(r) for r in runs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines[1:-1]]
+        assert len(rows) == len(list(runs[0].rglob("*.*"))) > 10
+        assert all(row[1:3] == ["0", "0"] for row in rows)
+        assert lines[-1] == ("faces changed 0 of 3, attempts changed 0 of 3, "
+                             "sequence positions changed 0 of 3")
+
+        log = sorted((runs[1] / "faces").glob("*.csv"))[0]
+        header, first, *rest = log.read_text().splitlines()
+        values = first.split(",")
+        k = harness.LOG_COLUMNS.index("fe_x")
+        values[k] = repr(float(values[k]) + 0.5)
+        log.write_text("\n".join([header, ",".join(values), *rest]) + "\n")
+        assert script.main([str(r) for r in runs]) == 1
+        rows = {line.split()[0]: line.split()[1:] for line in
+                capsys.readouterr().out.splitlines()[1:-1]}
+        name = log.relative_to(runs[1]).as_posix()
+        assert float(rows[name][0]) == pytest.approx(0.5) and rows[name][2] == "differ"
 
     def test_sequence_benchmark(self, monkeypatch, capsys):
         """Runs the GA-vs-exhaustive script on two 4-task instances."""
