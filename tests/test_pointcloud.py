@@ -33,16 +33,23 @@ def registration_reference() -> dict:
 
     - ``small``: the views of ``small_config()``;
     - ``dense``: a 4-face cell scanned in 5 views at density 5e5 with
-      ``sim.seed`` 0, the benchmark's ``scan_dense`` cell 0.
+      ``sim.seed`` 0, the benchmark's ``scan_dense`` cell 0;
+    - ``prism3``: a 3-face cell scanned in the default 4 views with
+      ``sim.seed`` 0, the benchmark's ``sand_hold`` cell 0.  Its middle pair
+      overlaps by about a third and runs every iteration.
     """
     dense = PipelineConfig()
     dense.object.sides = 4
     dense.scanner.density = 5e5
     dense.scanner.n_views = 5
     dense.sim.seed = 0
+    prism3 = PipelineConfig()
+    prism3.object.sides = 3
+    prism3.sim.seed = 0
     out = {}
     real_icp = pc.icp_register
-    for name, config in (("small", small_config()), ("dense", dense)):
+    for name, config in (("small", small_config()), ("dense", dense),
+                         ("prism3", prism3)):
         pairs = []
 
         def recording_icp(*args, **kwargs):
