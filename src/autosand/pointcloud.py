@@ -18,6 +18,8 @@ from scipy.spatial import cKDTree
 from .geometry import ConvexShape, RigidTransform
 
 SOR_BLOCK = 8192   # points per SOR query: bounds its (block, k + 1) arrays
+ICP_LEAFSIZE = 48  # points per leaf of ICP's target tree: the fastest of 16/32/48/64
+ICP_BOUND = 1.5    # ICP searches out to this many times the last gate
 
 
 class EmptyScan(Exception):
@@ -90,6 +92,9 @@ class ScannerConfig:
             raise ValueError("scanner view_dir must be a finite, non-zero 3-vector")
         if not self.n_views >= 2:
             raise ValueError("scanner n_views must be at least 2")
+        if not 0.0 < self.density < np.inf:
+            raise ValueError(f"scanner density must be finite and positive, "
+                             f"got {self.density:g}")
         if not 0.0 <= self.depth_noise < np.inf:
             raise ValueError(f"scanner depth_noise must be finite and at least 0, "
                              f"got {self.depth_noise:g}")
@@ -208,6 +213,16 @@ class IcpParams:
     reject_ratio: float = 5.0
     max_diverging: int = 5
 
+    def __post_init__(self):
+        for name in ("max_iters", "max_diverging"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"icp {name} must be at least 1")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"icp tol must be finite and at least 0, got {self.tol:g}")
+        if not 0.0 < self.reject_ratio < np.inf:
+            raise ValueError(f"icp reject_ratio must be finite and positive, "
+                             f"got {self.reject_ratio:g}")
+
 
 def icp_register(source: PointCloud, target: PointCloud,
                  init: RigidTransform | None = None,
@@ -217,23 +232,37 @@ def icp_register(source: PointCloud, target: PointCloud,
     Correspondences beyond the gate reject_ratio * median + 1e-300 are
     discarded, which tolerates the partial overlap between consecutive views.
 
-    The neighbour search stops at a bound, so points on faces the other view
-    never saw cost little.  A bounded query is exact for every point nearer
-    than the bound and returns inf for the rest.  When the gate comes out at
-    most half the bound (margin for the tree's squared comparison), every kept
-    point was found exactly and every inf lies beyond the gate; fewer than
-    half the points are inf, or the median would be, so the median is exact.
-    Otherwise, and before keeping all points when fewer than three pass, the
-    search runs unbounded: (tf, rms) equal an unbounded ICP's bit for bit.
-    Each point is searched on its own, so running on every core moves no bit.
+    The neighbour search stops at a bound of ICP_BOUND times the last gate
+    (the first gate comes from about 64 strided points), so points on faces
+    the other view never saw cost little.  (tf, rms) still equal an unbounded
+    search's bit for bit:
+
+    - A bounded query gives each point its exact nearest distance, or inf
+      when no target point passes the tree's test d^2 < bound^2.  A finite
+      result is thus exact, and every point given inf is farther than every
+      finite one, so a finite median is exact, and with it the gate.
+    - The bounded result stands when the gate is at most 0.95 of the bound.
+      A kept point then has d <= gate <= m * bound with m = 0.95.  The
+      returned d is the correctly rounded root of the tree's d^2, so
+      d^2 <= (m * bound)^2 / (1 - u)^2 with u = 2^-53, and the rounded
+      bound^2 is at least bound^2 * (1 - u): the test passes for any m below
+      (1 - u)^1.5 = 1 - O(2^-52), so every kept point was found exactly.
+      (For a subnormal bound^2 this holds down to about 1e-322; nonzero
+      distances smaller than that need coordinates near 1e-160.)  A point
+      given inf lies beyond the bound and so beyond the gate, and is dropped
+      as the unbounded search drops it.
+    - Otherwise, and before keeping all points when fewer than three pass,
+      the search reruns unbounded.
+
+    The tree's leaf size cannot change a distance; it can change an index
+    only between exactly equidistant target points.  Each point is searched
+    on its own, so running on every core moves no bit.
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("both clouds must be non-empty")
     params = params or IcpParams()
     tf = init or RigidTransform.identity()
-    tree = cKDTree(target.points)
-    # The bound is 4x the expected gate, so the gate may double before the
-    # search must rerun.  The first gate comes from about 64 strided points.
+    tree = cKDTree(target.points, leafsize=ICP_LEAFSIZE)
     sample = tf.apply(source.points[::max(1, len(source) // 64)])
     gate = params.reject_ratio * np.median(tree.query(sample)[0]) + 1e-300
     best_tf, best_rms = tf, np.inf
@@ -241,10 +270,10 @@ def icp_register(source: PointCloud, target: PointCloud,
     worse = 0
     for _ in range(params.max_iters):
         moved = tf.apply(source.points)
-        for bound in (4.0 * gate, np.inf):
+        for bound in (ICP_BOUND * gate, np.inf):
             dists, idx = tree.query(moved, distance_upper_bound=bound, workers=-1)
             gate = params.reject_ratio * np.median(dists) + 1e-300
-            if gate <= 0.5 * bound:
+            if gate <= 0.95 * bound:
                 break
         keep = dists <= gate
         if keep.sum() < 3:

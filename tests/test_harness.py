@@ -382,7 +382,15 @@ class TestCli:
         "[scanner]\ndepth_noise = -1\n",
         "[scanner]\ndepth_noise = inf\n",
         "[object]\nradius_variation = 0.07\n",  # negative radii
-        "[object]\nradius_variation = -0.06\n"])
+        "[object]\nradius_variation = -0.06\n",
+        "[icp]\nmax_iters = 0\n",           # views merged unrefined, rms inf
+        "[icp]\nmax_diverging = 0\n",
+        "[icp]\ntol = -1\n",
+        "[icp]\ntol = nan\n",
+        "[icp]\nreject_ratio = 0\n",
+        "[icp]\nreject_ratio = inf\n",
+        "[scanner]\ndensity = 0\n",          # one point per face: SOR fails, exit 4
+        "[scanner]\ndensity = inf\n"])
     def test_out_of_domain_value_exit_code(self, tmp_path, capsys, text):
         """A value outside its domain raises ValueError at load, so `run`
         exits 1 with one error line and writes nothing."""

@@ -351,9 +351,9 @@ def assert_same_registration(source, target, init=None, params=None):
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.fixture
-def tree_queries(monkeypatch):
-    """(number of points, distance bound) of every query icp_register makes."""
+def record_queries(monkeypatch) -> list:
+    """Make icp_register append (number of points, distance bound) of every
+    query it makes to the returned list."""
     queries = []
 
     class RecordingTree(cKDTree):
@@ -364,6 +364,11 @@ def tree_queries(monkeypatch):
 
     monkeypatch.setattr(pc, "cKDTree", RecordingTree)
     return queries
+
+
+@pytest.fixture
+def tree_queries(monkeypatch):
+    return record_queries(monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -394,8 +399,9 @@ class TestBoundedIcp:
         # Each source point sits off its grid point by its own offset, so its
         # distance is that offset.  The strided sample (every 8th point) is
         # 0.01 off, the median point 0.06 and 30 points 0.25: the first bound
-        # is 4 * 5 * 0.01 = 0.2 and the gate 0.3.  The gate is past the bound,
-        # which cut off the 30 points it keeps, so the search must rerun.
+        # is ICP_BOUND * 5 * 0.01 and the gate 0.3.  The gate is past the
+        # bound, which cut off the 30 points it keeps, so the search must
+        # rerun.
         rng = np.random.default_rng(3)
         grid = integer_grid()
         offset = np.full(len(grid), 0.06)
@@ -405,7 +411,10 @@ class TestBoundedIcp:
         direction /= np.linalg.norm(direction, axis=1)[:, None]
         source = pc.PointCloud(grid + offset[:, None] * direction)
         assert_same_registration(source, pc.PointCloud(grid))
-        assert tree_queries[1][1] == pytest.approx(0.2) and tree_queries[2][1] == np.inf
+        first_bound = pc.ICP_BOUND * 5 * 0.01
+        assert 0.3 > 0.95 * first_bound and 0.25 > first_bound
+        assert tree_queries[1][1] == pytest.approx(first_bound)
+        assert tree_queries[2][1] == np.inf
 
     def test_keep_all_path_requeries(self, tree_queries):
         # Every grid point is 0.1 from its match and 21 are 50 away; with
@@ -422,7 +431,9 @@ class TestBoundedIcp:
         # every distance is 0, so the gate is 1e-300 and the squared bound 0
         cloud = scan(geo.box((0.2, 0.2, 0.2)), noise=2e-4, sensor_seed=5)
         assert_same_registration(cloud, cloud)
-        assert tree_queries[1][1] == 4e-300 and tree_queries[2][1] == np.inf
+        assert (pc.ICP_BOUND * 1e-300) ** 2 == 0.0
+        assert tree_queries[1][1] == pc.ICP_BOUND * 1e-300
+        assert tree_queries[2][1] == np.inf
 
     def test_divergence_raised_on_same_iteration(self, monkeypatch):
         calls = []
@@ -454,6 +465,31 @@ class TestBoundedIcp:
                                     np.zeros(3))
         init = geo.RigidTransform.rotation_z(angle, shift).compose(tilt_x)
         assert_same_registration(b, a, init, pc.IcpParams(reject_ratio=ratio))
+
+    @settings(max_examples=30, deadline=None)
+    @given(delta=st.floats(0.005, 0.05), far=st.floats(3.5, 4.9),
+           share=st.floats(0.52, 0.6), seed=st.integers(0, 2 ** 32 - 1),
+           direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+               lambda v: np.linalg.norm(v) > 0.1))
+    def test_gate_growing_between_iterations_reruns(self, delta, far, share, seed,
+                                                    direction):
+        # A share of just over half the points sits delta off its grid point
+        # along u, the rest far * delta against u.  Both groups pass the first
+        # gate (at least 5 * delta), so the fit shifts the cloud by their mean
+        # offset, and the near points end (1 - share) * (1 + far) * delta
+        # >= 1.8 delta off.  The gate grows more than ICP_BOUND / 0.95 times,
+        # so the second iteration's bounded search must rerun.
+        u = np.array(direction) / np.linalg.norm(direction)
+        grid = integer_grid()
+        near = np.zeros(len(grid), dtype=bool)
+        order = np.random.default_rng(seed).permutation(len(grid))
+        near[order[:int(share * len(grid))]] = True
+        source = np.where(near[:, None], grid - delta * u, grid + far * delta * u)
+        with pytest.MonkeyPatch.context() as patch:
+            queries = record_queries(patch)
+            assert_same_registration(pc.PointCloud(source), pc.PointCloud(grid))
+        bounds = [bound for _, bound in queries]
+        assert np.isfinite(bounds[1:3]).all() and bounds[3] == np.inf
 
 
 class TestMergeScans:
