@@ -7,6 +7,7 @@ adaptation settings, writes one CSV per run, and prints a summary table.
 Usage: python scripts/sanding_convergence.py [out_dir]
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,14 +19,16 @@ from autosand.config import PipelineConfig
 
 def run_variant(name, config, out_dir, robust_gain=None, learn_rate=None,
                 stiffness_scale=1.0, duration=8.0):
+    # a stiffer belt scales the law that nominal_setup builds its contact from
+    contact = dataclasses.replace(config.contact,
+                                  stiffness=config.contact.stiffness * stiffness_scale,
+                                  damping=config.contact.damping * stiffness_scale)
+    config = dataclasses.replace(config, contact=contact)
     setup = harness.nominal_setup(config, duration=duration, force_noise=0.0)
     if robust_gain is not None:
         setup.gains.robust_gain = robust_gain
     if learn_rate is not None:
         setup.net.learn_rate = learn_rate
-    if stiffness_scale != 1.0:
-        setup.contact.stiffness *= stiffness_scale
-        setup.contact.damping *= stiffness_scale
     result = harness.simulate_sanding(setup)
     harness.write_csv(out_dir / f"{name}.csv", harness.LOG_COLUMNS, result.log)
     return result

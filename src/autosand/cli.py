@@ -40,8 +40,10 @@ def _load(args) -> PipelineConfig:
 
 
 def _exit_code(failure: type, in_stage: bool) -> int:
-    """Exit code of a failure of class ``failure``; inside a pipeline stage
-    that is the class of the stage error's cause."""
+    """Exit code of a failure of class ``failure``, inside a pipeline stage the
+    class of the stage error's cause: 3 for NoPathFound and InvalidEndpoint;
+    4 for IntegrationDiverged, SingularJacobian, JointLimitViolation and every
+    other class raised inside a stage; 1 for the rest."""
     if issubclass(failure, (pln.NoPathFound, pln.InvalidEndpoint)):
         return EXIT_PLANNER
     if in_stage or issubclass(failure, NUMERIC_ERRORS):

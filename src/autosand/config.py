@@ -5,7 +5,8 @@ own values; this module defines the sections that no single layer reads,
 assembles all of them into PipelineConfig and owns the INI format.  That is
 plain configparser INI: one section per subsystem, values coerced by the type
 of the corresponding dataclass default (floats, ints, bools, comma-separated
-vectors of the default's length).  Anything else is rejected at load.
+vectors of the default's length).  Every number must be finite.  Anything
+else is rejected at load.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ControlConfig
-from .dynamics import MAX_STEP, RobotModel
+from .dynamics import MAX_STEP, BeltContact, RobotModel
 from .impedance import ImpedanceSpec
 from .planner import GaParams, PlannerConfig
 from .pointcloud import IcpParams, QualityParams, ScannerConfig, SorConfig
@@ -26,11 +27,22 @@ from .pointcloud import IcpParams, QualityParams, ScannerConfig, SorConfig
 
 @dataclass
 class ContactConfig:
+    """The belt: the contact law of every BeltContact, and the box the planner avoids."""
+
     stiffness: float = 1e4
     damping: float = 800.0
     drag: float = 2.0
     belt_x: float = 0.11           # world x of the belt surface plane
     belt_size: tuple = (0.15, 0.5, 0.3)
+
+    def __post_init__(self):
+        self.belt(self.belt_x)     # BeltContact checks the law
+        if not min(self.belt_size) > 0:
+            raise ValueError("contact belt_size must be positive along every axis")
+
+    def belt(self, plane_offset: float) -> BeltContact:
+        """The contact law on the belt plane x = plane_offset."""
+        return BeltContact(plane_offset, self.stiffness, self.damping, self.drag)
 
 
 @dataclass
@@ -54,8 +66,8 @@ class ObjectConfig:
     removal_rate: float = 0.6      # roughness multiplier is 1 - removal_rate * force quality
 
     def __post_init__(self):
-        if not self.sides >= 3:
-            raise ValueError("object sides must be at least 3")
+        if not (self.sides >= 3 and self.height > 0):
+            raise ValueError("object needs sides >= 3 and height > 0")
         # radii() swings mean_radius by radius_variation either way
         if not abs(self.radius_variation) < self.mean_radius:
             raise ValueError(f"object radius_variation ({self.radius_variation:g}) must be "
@@ -90,6 +102,10 @@ class PipelineOptions:
     approach_clearance: float = 0.03
     home: tuple = (-0.6, 0.3, 0.0, 0.0)
 
+    def __post_init__(self):
+        if not self.max_resand >= 0:
+            raise ValueError(f"pipeline max_resand must be at least 0, got {self.max_resand}")
+
 
 @dataclass
 class PipelineConfig:
@@ -118,14 +134,11 @@ class PipelineConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, (np.ndarray, tuple, list)):
-        return ", ".join(f"{v:.12g}" if isinstance(v, float) or isinstance(v, np.floating)
-                         else str(v) for v in np.asarray(value).reshape(-1))
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return ", ".join(f"{v:.12g}" for v in np.ravel(value).tolist())    # floats
 
 
 def _parse_like(text: str, template):
@@ -136,18 +149,13 @@ def _parse_like(text: str, template):
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     if isinstance(template, (int, np.integer)):
         return int(text)
-    if isinstance(template, (float, np.floating)):
-        return float(text)
-    if isinstance(template, (np.ndarray, tuple, list)):
-        parts = [p for p in text.replace(",", " ").split() if p]
-        arr = np.array([float(p) for p in parts])
-        template_arr = np.asarray(template)
-        if arr.size != template_arr.size:
-            raise ValueError(f"expected {template_arr.size} values, got {arr.size}")
-        if template_arr.ndim > 1:
-            arr = arr.reshape(template_arr.shape)
-        return arr
-    return text
+    # a float, a vector or a matrix
+    value = np.array([float(p) for p in text.replace(",", " ").split()])
+    if value.size != np.size(template):
+        raise ValueError(f"expected {np.size(template)} values, got {value.size}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"not a finite number: {text!r}")
+    return value.reshape(np.shape(template)) if np.ndim(template) else float(value[0])
 
 
 def to_ini(config: PipelineConfig) -> str:
@@ -165,29 +173,22 @@ def from_ini(text: str) -> PipelineConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
     defaults = PipelineConfig()
-    sections = {f.name for f in dataclasses.fields(defaults)}
+    sections = [f.name for f in dataclasses.fields(defaults)]
     for section in parser.sections():
         if section not in sections:
             raise ValueError(f"unknown section [{section}]")
     kwargs = {}
-    for section_field in dataclasses.fields(defaults):
-        section = section_field.name
+    for section in sections:
         sub_default = getattr(defaults, section)
-        if section not in parser:
-            kwargs[section] = sub_default
-            continue
-        sub_kwargs = {}
+        sub_kwargs = {}             # a key left out keeps its field default
         valid = {f.name for f in dataclasses.fields(sub_default) if f.init}
-        for key, raw in parser[section].items():
+        for key, raw in (parser[section].items() if section in parser else ()):
             if key not in valid:
                 raise ValueError(f"unknown key [{section}] {key}")
             try:
                 sub_kwargs[key] = _parse_like(raw, getattr(sub_default, key))
             except ValueError as err:
                 raise ValueError(f"[{section}] {key}: {err}") from None
-        for name in valid:
-            if name not in sub_kwargs:
-                sub_kwargs[name] = getattr(sub_default, name)
         kwargs[section] = type(sub_default)(**sub_kwargs)
     return PipelineConfig(**kwargs)
 

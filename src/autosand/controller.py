@@ -81,6 +81,8 @@ class ControlConfig:
             raise ValueError("robust gain must be non-negative")
         if not self.boundary >= 0:
             raise ValueError("boundary layer must be non-negative")
+        if not (self.learn_rate >= 0 and self.n_centers >= 2):
+            raise ValueError("control needs learn_rate >= 0 and n_centers >= 2")
 
 
 def reference_velocity(j_pinv: np.ndarray, xd_dot: np.ndarray, pos_error: np.ndarray,

@@ -16,12 +16,12 @@ do their arithmetic on Python floats, with the model's constant terms
 computed once per ``RobotModel``.  The results are bit-identical to the
 matrix form, which ``tests/data/dynamics_ref.npz`` pins:
 
-- The 4-column matvecs, D3 qdot and D4 qdot in C, C qdot and the contact
-  rate (J qdot)[0], are scalar sums in the order numpy's BLAS (OpenBLAS)
-  sums a C-ordered row without FMA: (a0 x0 + a2 x2) + (a1 x1 + a3 x3), then
-  + 0.0 from the kernel's zero start.  Zero entries stay in the sums as
-  0.0 * x terms, so even the signs of zeros match.
-  ``test_row_sums_match_numpy`` checks that order against this build.
+- The 4-column matvecs D3 qdot and D4 qdot in C, and C qdot, are scalar
+  sums in the order numpy's BLAS (OpenBLAS) sums a C-ordered row without
+  FMA: (a0 x0 + a2 x2) + (a1 x1 + a3 x3), then + 0.0 from the kernel's zero
+  start.  Zero entries stay in the sums as 0.0 * x terms, so even the signs
+  of zeros match.  ``test_row_sums_match_numpy`` checks that order.
+- The contact rate and force need not match so closely; ``step`` says why.
 - Three calls stay in numpy: the transposed matvec J^T f and the dot
   product qdot . qdot of the runaway test, whose BLAS kernels sum with FMA,
   which Python floats cannot reproduce, and LAPACK ``dgesv`` for the
@@ -140,15 +140,19 @@ class BeltContact:
     """
 
     plane_offset: float
-    stiffness: float = 1e4
-    damping: float = 50.0
-    drag: float = 0.0
+    stiffness: float
+    damping: float
+    drag: float
 
     def __post_init__(self):
-        if self.stiffness <= 0:
-            raise ValueError("contact stiffness must be positive")
-        if self.damping < 0:
-            raise ValueError("contact damping must be non-negative")
+        if not self.stiffness > 0:
+            raise ValueError(f"contact stiffness must be positive, got {self.stiffness:g}")
+        if not self.damping >= 0:
+            raise ValueError(f"contact damping must be non-negative, got {self.damping:g}")
+
+    def push(self, depth: float, rate: float) -> float:
+        """Normal force at depth > 0 and inward rate; the damper only resists pressing in."""
+        return -(self.stiffness * depth + self.damping * max(rate, 0.0))
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -270,7 +274,7 @@ def contact_force(contact: BeltContact, x: np.ndarray, xdot: np.ndarray) -> np.n
     depth = float(x[0]) - contact.plane_offset
     if depth <= 0.0:
         return np.zeros(3)
-    push = -(contact.stiffness * depth + contact.damping * max(float(xdot[0]), 0.0))
+    push = contact.push(depth, float(xdot[0]))
     return np.array([push, push * 0.0, push * 0.0])
 
 
@@ -285,6 +289,11 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
     it only names the moment of a failure in the error message.  A velocity
     that is not finite fails the runaway test, a joint that is not finite
     the joint-limit test.
+
+    In contact, f = (push, -drag, 0) and the rate is qd0 + j02 qd2 + j03 qd3,
+    with no care for signed zeros: J^T f is a BLAS sum that starts at +0, so
+    the sign of a zero in f never reaches the torque, and a rate that differs
+    only in the sign of zero leaves ``push`` unchanged, because k depth > 0.
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
@@ -311,21 +320,13 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
         # a NaN depth applies its NaN force, for the runaway test to catch
         if not depth <= 0.0:
             j02, j03 = -l1 * s1 - l2 * s12, -l2 * s12
-            rate = max(((qd0 + j02 * qd2) + (z1 + j03 * qd3)) + 0.0, 0.0)
-            push = -(contact.stiffness * depth + contact.damping * rate)
-            # push (1, 0, 0) + drag (0, -1, 0), signs of zeros included
-            zero = push * 0.0
-            drag = contact.drag
-            d0, d1, d2 = (0.0, 0.0, 0.0) if drag == 0.0 else \
-                (drag * 0.0, drag * -1.0, drag * 0.0)
-            f = [push + d0, zero + d1, zero + d2]
-            if f[0] or f[1] or f[2]:
-                jac = np.array([1.0, 0.0, j02, j03,
-                                0.0, 1.0, l1 * c1 + l2 * c12, l2 * c12,
-                                0.0, 0.0, 1.0, 1.0]).reshape(3, 4)
-                # J^T f stays a numpy call: its kernel sums with FMA
-                jf0, jf1, jf2, jf3 = (jac.T @ np.array(f)).tolist()
-                tau = [tau[0] + jf0, tau[1] + jf1, tau[2] + jf2, tau[3] + jf3]
+            push = contact.push(depth, qd0 + j02 * qd2 + j03 * qd3)
+            jac = np.array([1.0, 0.0, j02, j03,
+                            0.0, 1.0, l1 * c1 + l2 * c12, l2 * c12,
+                            0.0, 0.0, 1.0, 1.0]).reshape(3, 4)
+            # J^T f stays a numpy call: its kernel sums with FMA
+            jf0, jf1, jf2, jf3 = (jac.T @ np.array([push, -contact.drag, 0.0])).tolist()
+            tau = [tau[0] + jf0, tau[1] + jf1, tau[2] + jf2, tau[3] + jf3]
     if external_torque is not None:
         e0, e1, e2, e3 = _floats(external_torque)
         tau = [tau[0] + e0, tau[1] + e1, tau[2] + e2, tau[3] + e3]

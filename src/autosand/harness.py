@@ -120,10 +120,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         x = dyn.forward_kinematics(model, q)
         jac = dyn.jacobian(model, q)
         xdot = jac @ qdot
-        if contact is not None:
-            f_meas = dyn.contact_force(contact, x, xdot)
-        else:
-            f_meas = np.zeros(3)
+        f_meas = np.zeros(3) if contact is None else dyn.contact_force(contact, x, xdot)
         if setup.force_noise > 0.0:
             f_meas = f_meas + rng.standard_normal(3) * setup.force_noise
         dx = x - setup.x_d
@@ -159,14 +156,12 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     monitor = ctl.lyapunov_monitor(times, vel_errors, log[:, col("v_obs")])
     tail = times >= min((1.0 - ctl.TAIL_FRACTION) * setup.duration, times[-1])  # >= 1 tick
     after = times >= ctl.TRANSIENT
-    normal = np.array([1.0, 0.0, 0.0])     # the belt normal of dyn.BeltContact
-    steady_force = float((forces[tail] @ normal).mean())
-    target = float(setup.f_d @ normal)
+    steady_force = float(forces[tail, 0].mean())    # along the belt normal, +x
     zq_norm = np.linalg.norm(vel_errors, axis=1)
     return SandingResult(
         log=log, times=times, vel_errors=vel_errors, forces=forces, task_errors=z_hist,
         steady_force=steady_force,
-        steady_force_error=steady_force - target,
+        steady_force_error=steady_force - float(setup.f_d[0]),
         max_zq_after_transient=float(zq_norm[after].max() if after.any() else zq_norm.max()),
         mean_zq_tail=float(zq_norm[tail].mean()),
         monitor=monitor)
@@ -227,9 +222,7 @@ def build_workcell(config: PipelineConfig) -> Workcell:
         q_approach[0] -= config.pipeline.approach_clearance
         tasks.append(pln.SandingTask(face, q_approach, q_contact))
     ctx = pln.PlannerContext(
-        model=config.robot, payload=mesh,
-        obstacles=[(belt_shape, RigidTransform.identity())],
-        belt_normal=(1.0, 0.0, 0.0), params=config.planner,
+        model=config.robot, payload=mesh, obstacles=[belt_shape], params=config.planner,
         seed=derive_seed(config.sim.seed, 11))
     roughness = np.zeros(len(mesh.faces))
     roughness[faces] = config.object.roughness
@@ -263,10 +256,7 @@ def nominal_setup(config: PipelineConfig, duration: float = 10.0,
                   force_noise: float | None = None) -> SandingSetup:
     """Canonical single-contact regulation scenario with the headline setpoints
     (x_d 51.5 mm along the normal, f_d -25 N)."""
-    contact = dyn.BeltContact(plane_offset=0.049,
-                              stiffness=config.contact.stiffness,
-                              damping=config.contact.damping,
-                              drag=config.contact.drag)
+    contact = config.contact.belt(0.049)
     l1, l2 = config.robot.link_lengths
     th1 = 0.6
     q0 = np.array([contact.plane_offset - l1 * np.cos(th1) - l2,
@@ -492,10 +482,8 @@ def _transit_leg(config, cell, i, j, leg, out) -> pln.Trajectory:
 @_stage("sand")
 def _sand_face(config, cell, task, attempt, out):
     """Closed-loop sanding of one face: press to the force setpoint and hold."""
-    contact = dyn.BeltContact(
-        plane_offset=config.contact.belt_x - cell.mesh.face_support(task.face_id),
-        stiffness=config.contact.stiffness, damping=config.contact.damping,
-        drag=config.contact.drag)
+    contact = config.contact.belt(config.contact.belt_x
+                                  - cell.mesh.face_support(task.face_id))
     depth = abs(config.setpoint.force) / config.contact.stiffness
     x_d = np.array([contact.plane_offset + depth, 0.0, task.contact[2] + task.contact[3]])
     setup = build_setup(config, contact, x_d, task.contact,

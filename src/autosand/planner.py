@@ -44,7 +44,7 @@ from .geometry import ConvexShape, RigidTransform
 GJK_MAX_ITERS = 64
 GJK_TOL = 1e-9
 BROAD_MARGIN = 1e-6  # m; far above GJK_TOL and the rounding of batched poses
-RETREAT_STEP = 0.02  # m; spacing of the retreat rule's via-points along the belt normal
+RETREAT_STEP = 0.02  # m; spacing of the retreat rule's via-points along -x, off the belt
 RETREAT_MAX = 0.10   # m; farthest retreat the rule tries
 RAW_BLOCK = 1024     # PCG64 words read per random_raw call by _pcg64_draws
 
@@ -212,6 +212,12 @@ class PlannerConfig:
     straight_line_cost: bool = False   # GA fitness from straight segments instead of planned paths
     sample_dt: float = 0.01
 
+    def __post_init__(self):
+        if not (self.task_step > 0 and self.sample_dt > 0):
+            raise ValueError("planner task_step and sample_dt must be positive")
+        if not (self.max_rule_repairs >= 0 and self.sample_budget >= 0):
+            raise ValueError("planner max_rule_repairs and sample_budget must be at least 0")
+
 
 @dataclass
 class PlannerContext:
@@ -220,13 +226,9 @@ class PlannerContext:
 
     model: RobotModel
     payload: ConvexShape
-    obstacles: list = field(default_factory=list)  # (ConvexShape, RigidTransform)
-    belt_normal: np.ndarray = (1.0, 0.0, 0.0)
+    obstacles: list = field(default_factory=list)  # ConvexShapes in world coordinates
     params: PlannerConfig = field(default_factory=PlannerConfig)
     seed: int = 0
-
-    def __post_init__(self):
-        self.belt_normal = np.asarray(self.belt_normal, dtype=float).reshape(3)
 
     def payload_pose(self, q: np.ndarray) -> RigidTransform:
         x = forward_kinematics(self.model, q)
@@ -234,8 +236,7 @@ class PlannerContext:
 
     def in_collision(self, q: np.ndarray) -> bool:
         pose = self.payload_pose(q)
-        return any(gjk_intersects(self.payload, shape, pose, shape_pose)
-                   for shape, shape_pose in self.obstacles)
+        return any(gjk_intersects(self.payload, shape, pose) for shape in self.obstacles)
 
     def within_limits(self, q: np.ndarray) -> bool:
         lim = self.model.joint_limits
@@ -263,10 +264,9 @@ class PlannerContext:
         lo = np.stack([wx.min(axis=1), wy.min(axis=1), np.full(len(qs), vz.min())], axis=1)
         hi = np.stack([wx.max(axis=1), wy.max(axis=1), np.full(len(qs), vz.max())], axis=1)
         near = np.zeros(len(qs), dtype=bool)
-        for shape, shape_pose in self.obstacles:
-            verts = shape_pose.apply(shape.vertices)
-            near |= ((lo <= verts.max(axis=0) + BROAD_MARGIN)
-                     & (hi >= verts.min(axis=0) - BROAD_MARGIN)).all(axis=1)
+        for shape in self.obstacles:
+            near |= ((lo <= shape.vertices.max(axis=0) + BROAD_MARGIN)
+                     & (hi >= shape.vertices.min(axis=0) - BROAD_MARGIN)).all(axis=1)
         return near
 
     def first_collision(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray | None:
@@ -295,7 +295,8 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
     """Straight-segment planner with rule-based retreat repair.
 
     Colliding segments are split at a via-point pushed away from the belt
-    plane (the task-space retreat mapped through the pseudo-inverse); after
+    plane, along -x (the task-space retreat mapped through the pseudo-inverse,
+    whose first column is the joint motion per metre of x); after
     max_rule_repairs recursive attempts, seeded random via-points are tried up
     to the sampling budget.
     """
@@ -311,8 +312,7 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
         jac_pinv = pseudo_inverse(jacobian(ctx.model, q))
         steps = int(round(RETREAT_MAX / RETREAT_STEP))
         for k in range(1, steps + 1):
-            shift = -ctx.belt_normal * (k * RETREAT_STEP)
-            yield q + jac_pinv @ shift
+            yield q - jac_pinv[:, 0] * (k * RETREAT_STEP)
 
     def connect(qa, qb, repairs_left):
         hit = ctx.first_collision(qa, qb)

@@ -347,6 +347,10 @@ class QualityParams:
     over_ratio: float = 1.5
     rough_ratio: float = 0.7
 
+    def __post_init__(self):
+        if not self.window > 0:
+            raise ValueError(f"quality window must be positive, got {self.window:g}")
+
 
 def surface_roughness(cloud: PointCloud, window: float = 0.01,
                       min_window_points: int = 8) -> float:

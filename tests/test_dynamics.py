@@ -362,18 +362,19 @@ class TestDynamicsTerms:
 
 class TestContact:
     def test_separated(self):
-        contact = dyn.BeltContact(plane_offset=0.05)
+        contact = dyn.BeltContact(plane_offset=0.05, stiffness=1e4, damping=50.0, drag=0.0)
         x = np.array([0.04, 0.0, 0.0])
         assert dyn.contact_force(contact, x, np.zeros(3)) == pytest.approx(np.zeros(3))
 
     def test_spring_law(self):
-        contact = dyn.BeltContact(plane_offset=0.05, stiffness=1e4, damping=0.0)
+        contact = dyn.BeltContact(plane_offset=0.05, stiffness=1e4, damping=0.0, drag=0.0)
         x = np.array([0.0525, 0.0, 0.0])
         assert dyn.contact_force(contact, x, np.zeros(3)) == pytest.approx([-25.0, 0.0, 0.0])
 
     def test_continuous_at_touch(self):
         # quasi-static approach: no spring preload, force fades smoothly to zero
-        contact = dyn.BeltContact(plane_offset=0.05, stiffness=1e4, damping=100.0)
+        contact = dyn.BeltContact(plane_offset=0.05, stiffness=1e4, damping=100.0,
+                                  drag=0.0)
         forces = [np.linalg.norm(dyn.contact_force(
             contact, np.array([0.05 + d, 0, 0]), np.zeros(3)))
             for d in (1e-4, 1e-6, 1e-8, 0.0)]
@@ -382,7 +383,7 @@ class TestContact:
         assert forces[2] < 1e-3
 
     def test_damping_only_inward(self):
-        contact = dyn.BeltContact(plane_offset=0.0, stiffness=1e3, damping=100.0)
+        contact = dyn.BeltContact(plane_offset=0.0, stiffness=1e3, damping=100.0, drag=0.0)
         x = np.array([0.01, 0, 0])
         inward = dyn.contact_force(contact, x, np.array([0.5, 0, 0]))
         outward = dyn.contact_force(contact, x, np.array([-0.5, 0, 0]))
@@ -394,9 +395,10 @@ class TestContact:
         q, rest = np.zeros(4), np.zeros(4)
         mass, _, _ = dyn.dynamics_terms(model, q, rest)
         for offset, touching in ((0.499, True), (0.501, False)):
-            plain = dyn.step(model, q, rest, rest, dyn.BeltContact(offset), 1e-4)[1]
+            plain = dyn.step(model, q, rest, rest,
+                             dyn.BeltContact(offset, 1e4, 50.0, drag=0.0), 1e-4)[1]
             dragged = dyn.step(model, q, rest, rest,
-                               dyn.BeltContact(offset, drag=2.0), 1e-4)[1]
+                               dyn.BeltContact(offset, 1e4, 50.0, drag=2.0), 1e-4)[1]
             expected = dyn.jacobian(model, q).T @ [0.0, -2.0, 0.0] if touching \
                 else np.zeros(4)
             assert mass @ (dragged - plain) / 1e-4 == pytest.approx(expected, abs=1e-8)
@@ -450,7 +452,7 @@ class TestStep:
         force must reach the velocity, where the runaway test catches it;
         skipped as out of contact, the NaN would pass the joint-limit test."""
         q = np.array([np.nan, 0.0, 0.4, -0.8])
-        contact = dyn.BeltContact(plane_offset=0.0)
+        contact = dyn.BeltContact(plane_offset=0.0, stiffness=1e4, damping=50.0, drag=0.0)
         with pytest.raises(dyn.IntegrationDiverged):
             dyn.step(model, q, np.zeros(4), np.zeros(4), contact, 1e-4)
 
@@ -484,15 +486,17 @@ class TestStep:
     def test_zero_states_match_vector_form(self, wide_model):
         """With gravity off, every sign pattern of zero rates and torques,
         at zero angles of either sign, in free flight and pressed 1 mm into
-        the belt: the states where the + 0.0 of numpy's row sums decides
-        the sign of a zero that reaches the result."""
+        the belt, with no drag, with drag and with a belt running the other
+        way: the states where the + 0.0 of numpy's row sums decides the sign
+        of a zero that reaches the result."""
         model = dyn.RobotModel(gravity=0.0, joint_limits=wide_model.joint_limits)
         signs = list(itertools.product((0.0, -0.0), repeat=4))
         for th in itertools.product((0.0, -0.0), repeat=2):
             q = np.array([0.0, 0.0, *th])
             x0 = float(dyn.forward_kinematics(model, q)[0])
-            for drag in (None, 0.0, 2.0):
-                belt = None if drag is None else dyn.BeltContact(x0 - 1e-3, drag=drag)
+            for drag in (None, 0.0, 2.0, -1.5):
+                belt = None if drag is None else dyn.BeltContact(
+                    x0 - 1e-3, stiffness=1e4, damping=50.0, drag=drag)
                 for qdot, u in itertools.product(signs, signs):
                     qdot, u = np.array(qdot), np.array(u)
                     got = dyn.step(model, q, qdot, u, belt, 1e-4)
@@ -556,6 +560,25 @@ class TestStep:
             assert got.tobytes() == want.tobytes()
             checked += rows
 
+    def test_transposed_matvec_ignores_zero_signs(self):
+        """step passes its contact force f to numpy's J^T f with no care for
+        the signs of its zeros.  That holds because the BLAS sum starts at
+        +0: flipping the sign of any zero entry of f leaves every byte of
+        J^T f unchanged.  Jacobians of seeded states, a quarter of them at
+        zero angles of either sign; forces with zero entries of both signs."""
+        rng = np.random.default_rng(93)
+        model = dyn.RobotModel()
+        for k in range(4000):
+            q, _ = signed_zero_state(rng)
+            if k % 4 == 0:
+                q[2:] = rng.choice([0.0, -0.0], 2)
+            jac = dyn.jacobian(model, q)
+            f = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2, 3)
+            zero = rng.random(3) < 0.4
+            f[zero] = rng.choice([0.0, -0.0], 3)[zero]
+            flipped = np.where(zero, -f, f)
+            assert (jac.T @ f).tobytes() == (jac.T @ flipped).tobytes(), (q, f)
+
     def test_singular_mass_raises(self, model, monkeypatch):
         zero = np.zeros(4)
         monkeypatch.setattr(dyn, "dynamics_terms",
@@ -565,7 +588,7 @@ class TestStep:
 
     def test_list_inputs(self, model):
         q, qdot, u = [0.1, -0.1, 0.4, -0.8], [0.01, 0.0, -0.2, 0.1], [1.0, 20.0, 3.0, 0.5]
-        contact = dyn.BeltContact(plane_offset=0.0, drag=2.0)
+        contact = dyn.BeltContact(plane_offset=0.0, stiffness=1e4, damping=50.0, drag=2.0)
         expected = dyn.step(model, np.array(q), np.array(qdot), np.array(u), contact,
                             1e-4, np.array(u))
         for got, want in zip(dyn.step(model, q, qdot, u, contact, 1e-4, u), expected):

@@ -390,7 +390,19 @@ class TestCli:
         "[icp]\nreject_ratio = 0\n",
         "[icp]\nreject_ratio = inf\n",
         "[scanner]\ndensity = 0\n",          # one point per face: SOR fails, exit 4
-        "[scanner]\ndensity = inf\n"])
+        "[scanner]\ndensity = inf\n",
+        "[contact]\nstiffness = 0\n",        # the setpoint depth divides by it
+        "[contact]\ndamping = -1\n",
+        "[contact]\nbelt_size = 0.15, 0, 0.3\n",
+        "[control]\nn_centers = 1\n",        # the RBF width needs two centers
+        "[control]\nlearn_rate = -1\n",
+        "[planner]\ntask_step = 0\n",
+        "[planner]\nsample_dt = 0\n",
+        "[planner]\nmax_rule_repairs = -1\n",
+        "[planner]\nsample_budget = -1\n",
+        "[object]\nheight = 0\n",
+        "[quality]\nwindow = 0\n",
+        "[pipeline]\nmax_resand = -1\n"])
     def test_out_of_domain_value_exit_code(self, tmp_path, capsys, text):
         """A value outside its domain raises ValueError at load, so `run`
         exits 1 with one error line and writes nothing."""
@@ -403,6 +415,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:"), err
         assert not out.exists()
+
+    def test_non_finite_value_exit_code(self, tmp_path, capsys):
+        """nan, inf or -inf in any numeric value (first entry of a vector)
+        exits `run` 1 with one error line naming the key, before any file is
+        written."""
+        config = PipelineConfig()
+        keys = [(section.name, f.name, getattr(getattr(config, section.name), f.name))
+                for section in dataclasses.fields(config)
+                for f in dataclasses.fields(getattr(config, section.name)) if f.init]
+        numeric = [(s, k, v) for s, k, v in keys if not isinstance(v, bool)]
+        assert len(keys) == 66 and len(numeric) > 50
+        path, out = tmp_path / "bad.ini", tmp_path / "run"
+        for section, key, default in numeric:
+            rest = [repr(v) for v in np.ravel(default).tolist()[1:]]
+            for bad in ("nan", "inf", "-inf"):
+                path.write_text(f"[{section}]\n{key} = {', '.join([bad] + rest)}\n")
+                assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1, \
+                    (section, key, bad)
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and err.startswith("error:"), err
+                assert f"[{section}] {key}" in err, err
+                assert not out.exists()
 
     @pytest.mark.parametrize("manifest", [[1, 2], {"files": []},
                                           {"files": [1], "angles": [0.0]},

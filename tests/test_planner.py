@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from autosand import harness
 from autosand import planner as pl
 from autosand.dynamics import RobotModel, forward_kinematics
-from autosand.geometry import RigidTransform, box
+from autosand.geometry import ConvexShape, RigidTransform, box
 from conftest import random_rotation, sat_box_margin
 from test_harness import small_config
 
@@ -70,9 +70,7 @@ class TestGjk:
 def planner_context(obstacles, seed=5, payload_half=0.04):
     model = RobotModel()
     payload = box((2 * payload_half,) * 3)
-    return pl.PlannerContext(model, payload,
-                             [(o, RigidTransform.identity()) for o in obstacles],
-                             seed=seed)
+    return pl.PlannerContext(model, payload, list(obstacles), seed=seed)
 
 
 class TestPlanSingleQuery:
@@ -160,9 +158,12 @@ class TestBroadPhase:
         assert ctx.segment_free(qa, qb) == (reference is None)
 
     def test_obstacle_pose_applied(self):
+        """Obstacles are given in world coordinates: a wall posed before the
+        context is built is checked where it stands."""
         wall = box((0.1, 0.1, 0.1))
-        ctx = pl.PlannerContext(RobotModel(), box((0.02,) * 3),
-                                [(wall, RigidTransform.planar(0.5, 0.0, 0.3))])
+        posed = ConvexShape(RigidTransform.planar(0.5, 0.0, 0.3).apply(wall.vertices),
+                            wall.faces)
+        ctx = pl.PlannerContext(RobotModel(), box((0.02,) * 3), [posed])
         qs = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.4, 0.0, 0.0]])
         assert ctx.broad_phase(qs).tolist() == [True, False]
         assert ctx.in_collision(qs[0]) and not ctx.in_collision(qs[1])
