@@ -1,12 +1,13 @@
 """Pipeline configuration: the assembled sections and the INI file format.
 
-Each section's dataclass lives in the module that reads it and checks its
-own values; this module defines the sections that no single layer reads,
-assembles all of them into PipelineConfig and owns the INI format.  That is
-plain configparser INI: one section per subsystem, values coerced by the type
-of the corresponding dataclass default (floats, ints, bools, comma-separated
-vectors of the default's length).  Every number must be finite.  Anything
-else is rejected at load.
+Each section's dataclass lives in the module that reads it and states the
+domain of each of its fields with domains.check; this module defines the
+sections that no single layer reads, assembles all of them into
+PipelineConfig, checks the relations between sections and owns the INI
+format.  That is plain configparser INI: one section per subsystem, values
+coerced by the type of the corresponding dataclass default (floats, ints,
+bools, comma-separated vectors of the default's length).  A value outside its
+domain is rejected at load, with an error that names [section] key.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ControlConfig
+from .domains import check
 from .dynamics import MAX_STEP, BeltContact, RobotModel
 from .impedance import ImpedanceSpec
 from .planner import GaParams, PlannerConfig
@@ -36,9 +38,8 @@ class ContactConfig:
     belt_size: tuple = (0.15, 0.5, 0.3)
 
     def __post_init__(self):
+        check(self, belt_x="", belt_size="> 0")
         self.belt(self.belt_x)     # BeltContact checks the law
-        if not min(self.belt_size) > 0:
-            raise ValueError("contact belt_size must be positive along every axis")
 
     def belt(self, plane_offset: float) -> BeltContact:
         """The contact law on the belt plane x = plane_offset."""
@@ -50,9 +51,7 @@ class SetpointConfig:
     force: float = -25.0           # N along the belt normal +x; pressing is negative
 
     def __post_init__(self):
-        if not -np.inf < self.force < 0.0:
-            raise ValueError(f"setpoint force must be finite and negative (pressing into "
-                             f"the belt), got {self.force:g}")
+        check(self, force="< 0")
 
 
 @dataclass
@@ -66,11 +65,11 @@ class ObjectConfig:
     removal_rate: float = 0.6      # roughness multiplier is 1 - removal_rate * force quality
 
     def __post_init__(self):
-        if not (self.sides >= 3 and self.height > 0):
-            raise ValueError("object needs sides >= 3 and height > 0")
+        check(self, sides=">= 3", mean_radius="> 0", radius_phase="", height="> 0",
+              roughness=">= 0", removal_rate=">= 0 and <= 1")
         # radii() swings mean_radius by radius_variation either way
         if not abs(self.radius_variation) < self.mean_radius:
-            raise ValueError(f"object radius_variation ({self.radius_variation:g}) must be "
+            raise ValueError(f"radius_variation ({self.radius_variation:g}) must be "
                              f"smaller in size than mean_radius ({self.mean_radius:g})")
 
     def radii(self) -> np.ndarray:
@@ -87,13 +86,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dt_physics", "dt_control", "sanding_duration"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"sim {name} must be positive and finite")
-        if self.dt_physics > MAX_STEP:
-            raise ValueError(f"sim dt_physics must not exceed the {MAX_STEP:g} s integrator step")
-        if not self.seed >= 0:
-            raise ValueError(f"sim seed must be at least 0, got {self.seed}")
+        check(self, dt_physics=f"> 0 and <= {MAX_STEP!r}",    # the integrator's step
+              dt_control="> 0", sanding_duration="> 0", seed=">= 0")
 
 
 @dataclass
@@ -103,8 +97,7 @@ class PipelineOptions:
     home: tuple = (-0.6, 0.3, 0.0, 0.0)
 
     def __post_init__(self):
-        if not self.max_resand >= 0:
-            raise ValueError(f"pipeline max_resand must be at least 0, got {self.max_resand}")
+        check(self, max_resand=">= 0", approach_clearance="> 0")
 
 
 @dataclass
@@ -127,10 +120,13 @@ class PipelineConfig:
     def __post_init__(self):
         ratio = self.sim.dt_control / self.sim.dt_physics
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError("dt_control must be an integer multiple of dt_physics")
+            raise ValueError("[sim] dt_control must be an integer multiple of dt_physics")
         if round(self.sim.sanding_duration / self.sim.dt_control) < 2:
-            raise ValueError(f"sim sanding_duration ({self.sim.sanding_duration:g} s) must "
+            raise ValueError(f"[sim] sanding_duration ({self.sim.sanding_duration:g} s) must "
                              f"span at least two control ticks of {self.sim.dt_control:g} s")
+        lim = self.robot.joint_limits
+        if not ((lim[:, 0] <= self.pipeline.home) & (self.pipeline.home <= lim[:, 1])).all():
+            raise ValueError("[pipeline] home lies outside the [robot] joint_limits")
 
 
 def _format_value(value) -> str:
@@ -153,8 +149,6 @@ def _parse_like(text: str, template):
     value = np.array([float(p) for p in text.replace(",", " ").split()])
     if value.size != np.size(template):
         raise ValueError(f"expected {np.size(template)} values, got {value.size}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"not a finite number: {text!r}")
     return value.reshape(np.shape(template)) if np.ndim(template) else float(value[0])
 
 
@@ -189,7 +183,10 @@ def from_ini(text: str) -> PipelineConfig:
                 sub_kwargs[key] = _parse_like(raw, getattr(sub_default, key))
             except ValueError as err:
                 raise ValueError(f"[{section}] {key}: {err}") from None
-        kwargs[section] = type(sub_default)(**sub_kwargs)
+        try:
+            kwargs[section] = type(sub_default)(**sub_kwargs)
+        except ValueError as err:
+            raise ValueError(f"[{section}] {err}") from None
     return PipelineConfig(**kwargs)
 
 

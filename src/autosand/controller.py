@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import check
 from .impedance import ImpedanceSpec
 
 
@@ -36,10 +37,7 @@ class RbfNetwork:
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float)
         self.weights = np.zeros((4, len(self.centers)))
-        if not self.width > 0:
-            raise ValueError("width must be positive")
-        if not self.learn_rate >= 0:
-            raise ValueError("learn rate must be non-negative")
+        check(self, width="> 0", learn_rate=">= 0")
 
     @classmethod
     def latin_hypercube(cls, low, high, control: ControlConfig, seed: int) -> "RbfNetwork":
@@ -75,14 +73,8 @@ class ControlConfig:
     force_noise: float = 0.1       # N, std dev of the simulated force sensor
 
     def __post_init__(self):
-        if not self.vel_gain > 0:
-            raise ValueError("velocity-error gain must be positive")
-        if not self.robust_gain >= 0:
-            raise ValueError("robust gain must be non-negative")
-        if not self.boundary >= 0:
-            raise ValueError("boundary layer must be non-negative")
-        if not (self.learn_rate >= 0 and self.n_centers >= 2):
-            raise ValueError("control needs learn_rate >= 0 and n_centers >= 2")
+        check(self, vel_gain="> 0", robust_gain=">= 0", boundary=">= 0", learn_rate=">= 0",
+              n_centers=">= 2", force_noise=">= 0")
 
 
 def reference_velocity(j_pinv: np.ndarray, xd_dot: np.ndarray, pos_error: np.ndarray,

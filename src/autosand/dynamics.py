@@ -43,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
+from .domains import check
+
 QDOT_RUNAWAY = 1e3
 MAX_STEP = 1e-2
 
@@ -94,16 +96,11 @@ class RobotModel:
         self.joint_limits = _arr(self.joint_limits).reshape(4, 2)
         self.velocity_limits = _arr(self.velocity_limits).reshape(4)
         self.acceleration_limits = _arr(self.acceleration_limits).reshape(4)
-        if (self.link_lengths <= 0).any():
-            raise ValueError("link lengths must be strictly positive")
-        if (self.link_masses <= 0).any():
-            raise ValueError("masses must be strictly positive")
-        if (self.rotor_inertias < 0).any():
-            raise ValueError("rotor inertias must be non-negative")
+        check(self, link_lengths="> 0", link_masses="> 0", rotor_inertias=">= 0",
+              gravity=">= 0", joint_limits="", velocity_limits="> 0",
+              acceleration_limits="> 0")
         if (self.joint_limits[:, 0] >= self.joint_limits[:, 1]).any():
-            raise ValueError("joint limits need min < max per joint")
-        if (self.velocity_limits <= 0).any() or (self.acceleration_limits <= 0).any():
-            raise ValueError("velocity/acceleration limits must be positive")
+            raise ValueError("joint_limits need min < max per joint")
         self._hoist_constants()
 
     def _hoist_constants(self):
@@ -145,10 +142,7 @@ class BeltContact:
     drag: float
 
     def __post_init__(self):
-        if not self.stiffness > 0:
-            raise ValueError(f"contact stiffness must be positive, got {self.stiffness:g}")
-        if not self.damping >= 0:
-            raise ValueError(f"contact damping must be non-negative, got {self.damping:g}")
+        check(self, plane_offset="", stiffness="> 0", damping=">= 0", drag="")
 
     def push(self, depth: float, rate: float) -> float:
         """Normal force at depth > 0 and inward rate; the damper only resists pressing in."""

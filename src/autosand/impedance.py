@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import check
+
 
 class ComplexRoots(ValueError):
     """The requested impedance target is under-damped and cannot be factored."""
@@ -62,8 +64,7 @@ class ImpedanceSpec:
         self.inertia = _diag3(self.inertia)
         self.damping = _diag3(self.damping)
         self.stiffness = _diag3(self.stiffness)
-        if (self.inertia <= 0).any() or (self.damping <= 0).any() or (self.stiffness <= 0).any():
-            raise ValueError("impedance diagonals must be strictly positive")
+        check(self, inertia="> 0", damping="> 0", stiffness="> 0")
         self.track_rate, self.filter_rate = factor_rates(
             self.inertia, self.damping, self.stiffness)
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import check
 from .dynamics import RobotModel, forward_kinematics, jacobian, pseudo_inverse
 from .geometry import ConvexShape, RigidTransform
 
@@ -118,16 +119,15 @@ def _nearest_simplex(simplex: list, d: np.ndarray):
 
 
 def gjk_intersects(a: ConvexShape, b: ConvexShape,
-                   pose_a: RigidTransform | None = None,
-                   pose_b: RigidTransform | None = None) -> bool:
-    """True iff the posed convex shapes share a point.
+                   pose_a: RigidTransform | None = None) -> bool:
+    """True iff shape a, posed by pose_a, shares a point with shape b.
 
     Terminates within GJK_MAX_ITERS simplex refinements; hitting the cap is
     reported and treated as intersecting (the conservative answer for a
     collision checker).
     """
     va = pose_a.apply(a.vertices) if pose_a else a.vertices
-    vb = pose_b.apply(b.vertices) if pose_b else b.vertices
+    vb = b.vertices
     d = va.mean(axis=0) - vb.mean(axis=0)
     if np.linalg.norm(d) < GJK_TOL:
         d = np.array([1.0, 0.0, 0.0])
@@ -194,14 +194,9 @@ class GaParams:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).reshape(4)
-        if self.population_size < 2:
-            raise ValueError("population must hold at least 2 individuals")
-        if self.max_generations < 1:
-            raise ValueError("the GA must run at least 1 generation")
-        if not (0.0 <= self.crossover_prob <= 1.0 and 0.0 <= self.mutation_prob <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if (self.weights <= 0).any():
-            raise ValueError("weights must be positive")
+        check(self, population_size=">= 2", crossover_prob=">= 0 and <= 1",
+              mutation_prob=">= 0 and <= 1", max_generations=">= 1", seed=">= 0",
+              weights="> 0")
 
 
 @dataclass
@@ -213,10 +208,8 @@ class PlannerConfig:
     sample_dt: float = 0.01
 
     def __post_init__(self):
-        if not (self.task_step > 0 and self.sample_dt > 0):
-            raise ValueError("planner task_step and sample_dt must be positive")
-        if not (self.max_rule_repairs >= 0 and self.sample_budget >= 0):
-            raise ValueError("planner max_rule_repairs and sample_budget must be at least 0")
+        check(self, task_step="> 0", max_rule_repairs=">= 0", sample_budget=">= 0",
+              sample_dt="> 0")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .domains import check
 from .geometry import ConvexShape, RigidTransform
 
 SOR_BLOCK = 8192   # points per SOR query: bounds its (block, k + 1) arrays
@@ -87,17 +88,11 @@ class ScannerConfig:
     field_margin: float = 0.05     # box half-width around the object for the field filter
 
     def __post_init__(self):
-        v = np.asarray(self.view_dir, dtype=float)
-        if v.shape != (3,) or not np.isfinite(v).all() or not v.any():
-            raise ValueError("scanner view_dir must be a finite, non-zero 3-vector")
-        if not self.n_views >= 2:
-            raise ValueError("scanner n_views must be at least 2")
-        if not 0.0 < self.density < np.inf:
-            raise ValueError(f"scanner density must be finite and positive, "
-                             f"got {self.density:g}")
-        if not 0.0 <= self.depth_noise < np.inf:
-            raise ValueError(f"scanner depth_noise must be finite and at least 0, "
-                             f"got {self.depth_noise:g}")
+        check(self, density="> 0", depth_noise=">= 0", view_dir="", n_views=">= 2",
+              intensity_base=">= 0 and <= 1", intensity_slope=">= 0", speckle=">= 0",
+              field_margin=">= 0")
+        if np.shape(self.view_dir) != (3,) or not np.any(self.view_dir):
+            raise ValueError("view_dir must be a non-zero 3-vector")
 
 
 def _face_samples(mesh: ConvexShape, face: int, scanner: ScannerConfig,
@@ -214,14 +209,7 @@ class IcpParams:
     max_diverging: int = 5
 
     def __post_init__(self):
-        for name in ("max_iters", "max_diverging"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"icp {name} must be at least 1")
-        if not 0.0 <= self.tol < np.inf:
-            raise ValueError(f"icp tol must be finite and at least 0, got {self.tol:g}")
-        if not 0.0 < self.reject_ratio < np.inf:
-            raise ValueError(f"icp reject_ratio must be finite and positive, "
-                             f"got {self.reject_ratio:g}")
+        check(self, max_iters=">= 1", tol=">= 0", reject_ratio="> 0", max_diverging=">= 1")
 
 
 def icp_register(source: PointCloud, target: PointCloud,
@@ -321,8 +309,7 @@ class SorConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.k >= 1:
-            raise ValueError("sor k must be at least 1")
+        check(self, k=">= 1", alpha="")
 
 
 def merge_scans(scans, commanded_angles, icp: IcpParams | None = None,
@@ -348,8 +335,8 @@ class QualityParams:
     rough_ratio: float = 0.7
 
     def __post_init__(self):
-        if not self.window > 0:
-            raise ValueError(f"quality window must be positive, got {self.window:g}")
+        check(self, intensity_threshold=">= 0 and <= 1", window="> 0",
+              min_window_points=">= 3", over_ratio=">= 0", rough_ratio=">= 0")
 
 
 def surface_roughness(cloud: PointCloud, window: float = 0.01,

@@ -20,7 +20,7 @@ from autosand.config import PipelineConfig
 from autosand.geometry import RigidTransform, box
 from conftest import random_rotation, sat_box_margin
 from test_closed_loop import block_disturbance, free_space_setup
-from test_planner import exhaustive_best, straight_line_instance
+from test_planner import exhaustive_best, posed, straight_line_instance
 
 
 def verdict(name, ok, detail):
@@ -163,8 +163,8 @@ def test_criterion_7_gjk_correctness():
         if abs(margin) <= 1e-6:
             continue
         checked += 1
-        got = pl.gjk_intersects(box(2 * h1), box(2 * h2),
-                                RigidTransform(r1, c1), RigidTransform(r2, c2))
+        got = pl.gjk_intersects(box(2 * h1), posed(box(2 * h2), RigidTransform(r2, c2)),
+                                RigidTransform(r1, c1))
         agree += got == (margin < 0)
     elapsed = time.perf_counter() - start
     verdict("criterion 7 gjk correctness", agree == 1000 and elapsed < 5.0,

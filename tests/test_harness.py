@@ -402,7 +402,23 @@ class TestCli:
         "[planner]\nsample_budget = -1\n",
         "[object]\nheight = 0\n",
         "[quality]\nwindow = 0\n",
-        "[pipeline]\nmax_resand = -1\n"])
+        "[pipeline]\nmax_resand = -1\n",
+        "[robot]\ngravity = -9.81\n",
+        "[control]\nforce_noise = -1\n",
+        "[object]\nroughness = -4e-4\n",
+        "[object]\nremoval_rate = 1.5\n",     # negative roughness, the failing cell passed
+        "[object]\nremoval_rate = -0.6\n",
+        "[scanner]\nintensity_base = 7\n",
+        "[scanner]\nintensity_slope = -250\n",
+        "[scanner]\nspeckle = -0.05\n",
+        "[scanner]\nfield_margin = -0.2\n",   # failed in the scan stage, exit 4
+        "[quality]\nintensity_threshold = 1.5\n",
+        "[quality]\nmin_window_points = -5\n",
+        "[quality]\nover_ratio = -1.5\n",
+        "[quality]\nrough_ratio = -0.7\n",
+        "[ga]\nseed = -1\n",                  # failed in the plan stage, exit 4
+        "[pipeline]\napproach_clearance = -0.5\n",
+        "[pipeline]\nhome = -1.5, 0.3, 0, 0\n"])   # failed in the plan stage, exit 3
     def test_out_of_domain_value_exit_code(self, tmp_path, capsys, text):
         """A value outside its domain raises ValueError at load, so `run`
         exits 1 with one error line and writes nothing."""
@@ -676,6 +692,111 @@ class TestConfigFieldsRead:
                   for f in dataclasses.fields(getattr(config, section.name))
                   if f.name not in reads]
         assert unread == []
+
+
+# Fields whose domain is a relation to another value rather than a bound of
+# their own, each with one value outside it.
+RELATIONS = {
+    ("robot", "joint_limits"): "1, -1, -1, 1, -3.2, 3.2, -3.2, 3.2",  # min < max per joint
+    ("object", "radius_variation"): "0.06",     # smaller in size than mean_radius
+    ("scanner", "view_dir"): "0, 0, 0",         # a direction: non-zero
+    ("pipeline", "home"): "-1.5, 0.3, 0, 0",    # inside robot.joint_limits
+}
+# ContactConfig's __post_init__ builds the BeltContact that checks the contact law.
+BUILT_AT_LOAD = {"ContactConfig": "BeltContact"}
+
+
+def stated_domains():
+    """{class: {field: domain}} from the keywords of every check() call in a
+    __post_init__ in src/autosand, each domain evaluated in its module."""
+    domains = {}
+    for path in sorted((REPO / "src" / "autosand").glob("*.py")):
+        classes = [node for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)]
+        for cls in classes:
+            for init in (f for f in cls.body if getattr(f, "name", "") == "__post_init__"):
+                for call in ast.walk(init):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "check":
+                        module = vars(importlib.import_module(f"autosand.{path.stem}"))
+                        domains.setdefault(cls.name, {}).update(
+                            (kw.arg, eval(compile(ast.Expression(kw.value), str(path),
+                                                  "eval"), module)) for kw in call.keywords)
+    return domains
+
+
+def section_fields():
+    """(section, field name, default, domain or None) of every INI key; a
+    boolean's domain is its type, which admits any finite value and no nan."""
+    config, stated = PipelineConfig(), stated_domains()
+    for section in dataclasses.fields(config):
+        sub = getattr(config, section.name)
+        name = type(sub).__name__
+        domains = {**stated.get(BUILT_AT_LOAD.get(name), {}), **stated.get(name, {})}
+        for f in dataclasses.fields(sub):
+            default = getattr(sub, f.name)
+            if f.init:
+                yield section.name, f.name, default, domains.get(
+                    f.name, "" if isinstance(default, bool) else None)
+
+
+def outside(domain, default):
+    """INI values just outside a domain: the first entry of default moved one
+    step past each bound, or nan where every finite value is in the domain."""
+    step = 1 if type(default) is int else 1e-9      # not for a boolean
+    past = {">": 0, ">=": -step, "<": 0, "<=": step}
+    for op, bound in [part.split() for part in domain.split(" and ") if part] or [("", "nan")]:
+        value = float(bound) + past.get(op, 0)
+        entries = [int(value) if step == 1 else value] + np.ravel(default).tolist()[1:]
+        yield ", ".join(map(str, entries))
+
+
+def out_of_domain_cases():
+    """(section, key, value) for a value outside each stated domain and relation."""
+    return [(section, key, value) for (section, key), value in RELATIONS.items()] + [
+        (section, key, value) for section, key, default, domain in section_fields()
+        if domain is not None for value in outside(domain, default)]
+
+
+class TestConfigDomains:
+    def test_every_field_has_a_domain(self):
+        """Every field of every PipelineConfig section is named in a check()
+        call of its __post_init__, or of the object that __post_init__
+        builds, or is a listed relation; a boolean's domain is its type."""
+        missing = [f"{section}.{key}" for section, key, _, domain in section_fields()
+                   if domain is None and (section, key) not in RELATIONS]
+        assert missing == []
+
+    @pytest.mark.parametrize("section, key, value", out_of_domain_cases())
+    def test_value_outside_domain_exit_code(self, tmp_path, capsys, section, key, value):
+        """A value just outside its stated domain raises a ValueError that
+        names [section] key at load, so `run` exits 1 with one error line and
+        writes nothing."""
+        text = f"[{section}]\n{key} = {value}\n"
+        with pytest.raises(ValueError, match=re.escape(f"[{section}] {key}")):
+            from_ini(text)
+        path, out = tmp_path / "bad.ini", tmp_path / "run"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:"), err
+        assert not out.exists()
+
+    def test_known_configs_round_trip(self, monkeypatch):
+        """PipelineConfig(), configs/default.ini and all 144 benchmark inputs
+        load and come back unchanged through to_ini and from_ini, so no
+        stated domain rejects a config the benchmark runs."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)   # bench/ is only read
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      REPO / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs = [PipelineConfig(), load_config(REPO / "configs" / "default.ini")]
+        configs += [workloads.build_config(name, cell, ga) for name in workloads.WORKLOADS
+                    for cell in workloads.CELLS for ga in range(workloads.SEED_CYCLE)]
+        assert len(configs) == 2 + 144
+        for config in configs:
+            text = to_ini(config)
+            assert to_ini(from_ini(text)) == text
 
 
 class TestCsvFormat:

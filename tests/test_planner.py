@@ -13,6 +13,11 @@ from conftest import random_rotation, sat_box_margin
 from test_harness import small_config
 
 
+def posed(shape, pose):
+    """shape with its vertices moved by pose, as gjk_intersects poses shape a."""
+    return ConvexShape(pose.apply(shape.vertices), shape.faces)
+
+
 def random_box_pair(rng):
     c1, c2 = rng.uniform(-0.5, 0.5, (2, 3))
     h1, h2 = rng.uniform(0.05, 0.3, (2, 3))
@@ -29,14 +34,14 @@ class TestGjk:
     def test_far_separation(self):
         cube = box((1.0, 1.0, 1.0))
         far = RigidTransform(np.eye(3), (3.0, 0.0, 0.0))
-        assert not pl.gjk_intersects(cube, cube, None, far)
+        assert not pl.gjk_intersects(cube, posed(cube, far))
 
     def test_touching_margin(self):
         cube = box((1.0, 1.0, 1.0))
         near = RigidTransform(np.eye(3), (1.0 + 1e-4, 0.0, 0.0))
         overlapping = RigidTransform(np.eye(3), (1.0 - 1e-4, 0.0, 0.0))
-        assert not pl.gjk_intersects(cube, cube, None, near)
-        assert pl.gjk_intersects(cube, cube, None, overlapping)
+        assert not pl.gjk_intersects(cube, posed(cube, near))
+        assert pl.gjk_intersects(cube, posed(cube, overlapping))
 
     def test_against_separating_axis_oracle(self, rng):
         checked = 0
@@ -46,14 +51,14 @@ class TestGjk:
             if abs(margin) <= 1e-6:
                 continue
             checked += 1
-            assert pl.gjk_intersects(b1, b2, p1, p2) == (margin < 0)
+            assert pl.gjk_intersects(b1, posed(b2, p2), p1) == (margin < 0)
         assert checked > 250
 
     def test_symmetry(self, rng):
         for _ in range(100):
             b1, p1, *_, b2, p2, c2, r2, h2 = random_box_pair(rng)
-            assert pl.gjk_intersects(b1, b2, p1, p2) == \
-                pl.gjk_intersects(b2, b1, p2, p1)
+            assert pl.gjk_intersects(b1, posed(b2, p2), p1) == \
+                pl.gjk_intersects(b2, posed(b1, p1), p2)
 
     def test_cross_matches_numpy_bitwise(self, rng):
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -161,9 +166,8 @@ class TestBroadPhase:
         """Obstacles are given in world coordinates: a wall posed before the
         context is built is checked where it stands."""
         wall = box((0.1, 0.1, 0.1))
-        posed = ConvexShape(RigidTransform.planar(0.5, 0.0, 0.3).apply(wall.vertices),
-                            wall.faces)
-        ctx = pl.PlannerContext(RobotModel(), box((0.02,) * 3), [posed])
+        ctx = pl.PlannerContext(RobotModel(), box((0.02,) * 3),
+                                [posed(wall, RigidTransform.planar(0.5, 0.0, 0.3))])
         qs = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.4, 0.0, 0.0]])
         assert ctx.broad_phase(qs).tolist() == [True, False]
         assert ctx.in_collision(qs[0]) and not ctx.in_collision(qs[1])
