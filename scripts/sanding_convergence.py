@@ -23,13 +23,11 @@ def run_variant(name, config, out_dir, robust_gain=None, learn_rate=None,
     contact = dataclasses.replace(config.contact,
                                   stiffness=config.contact.stiffness * stiffness_scale,
                                   damping=config.contact.damping * stiffness_scale)
-    config = dataclasses.replace(config, contact=contact)
-    setup = harness.nominal_setup(config, duration=duration, force_noise=0.0)
-    if robust_gain is not None:
-        setup.gains.robust_gain = robust_gain
-    if learn_rate is not None:
-        setup.net.learn_rate = learn_rate
-    result = harness.simulate_sanding(setup)
+    gains = {key: value for key, value in (("robust_gain", robust_gain),
+                                           ("learn_rate", learn_rate)) if value is not None}
+    control = dataclasses.replace(config.control, force_noise=0.0, **gains)
+    config = dataclasses.replace(config, contact=contact, control=control)
+    result = harness.simulate_sanding(harness.nominal_setup(config, duration=duration))
     harness.write_csv(out_dir / f"{name}.csv", harness.LOG_COLUMNS, result.log)
     return result
 

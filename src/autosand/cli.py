@@ -13,7 +13,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -54,15 +53,6 @@ def _exit_code(failure: type, in_stage: bool) -> int:
 def _descent(passed: bool | None) -> str:
     """Descent verdict; ``-`` when the run was shorter than the monitor's window."""
     return "-" if passed is None else "ok" if passed else "VIOLATED"
-
-
-def _seconds(text: str) -> float:
-    """A positive, finite duration in seconds, checked as the arguments parse."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive, finite number of seconds, got {text!r}")
-    return value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -122,9 +112,8 @@ def cmd_sand(args) -> int:
             config, sim=dataclasses.replace(config.sim, sanding_duration=args.duration))
     out = Path(args.out)
     if args.face is None:
-        duration = 10.0 if args.duration is None else args.duration
-        setup = harness.nominal_setup(config, duration=duration)
-        result = harness.simulate_sanding(setup)
+        duration = {} if args.duration is None else {"duration": args.duration}
+        result = harness.simulate_sanding(harness.nominal_setup(config, **duration))
         out.mkdir(parents=True, exist_ok=True)
         harness.write_csv(out / "sand_nominal.csv", harness.LOG_COLUMNS, result.log)
     else:
@@ -150,22 +139,28 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    data = json.loads((Path(args.run) / "report.json").read_text())
-    print(f"{'face':>4} {'seq':>3} {'force [N]':>10} {'|zq| max':>9} "
-          f"{'descent':>8} {'max rise':>9} {'settle [s]':>10} {'resands':>7} {'pass':>5}")
-    for f in data["faces"]:
-        settle = "-" if f["settle_time"] is None else f"{f['settle_time']:.3f}"
-        rise = "-" if f["max_rise"] is None else f"{f['max_rise']:.2e}"
-        print(f"{f['face_id']:>4} {f['sequence_position']:>3} "
-              f"{f['steady_force']:>10.3f} {f['max_zq_after_transient']:>9.2e} "
-              f"{_descent(f['descent_passed']):>8} {rise:>9} "
-              f"{settle:>10} {f['resand_count']:>7} {str(f['passed']):>5}")
-    print(f"travel cost {data['total_travel_cost']:.4f}, "
-          f"wall {data['wall_time']:.1f} s, "
-          f"{'PASS' if data['passed'] else 'FAIL'}")
-    if data.get("error"):
-        print(f"error: {data['error']}")
+    path = Path(args.run) / "report.json"
+    try:
+        data = json.loads(path.read_text())
+        lines = [f"{'face':>4} {'seq':>3} {'force [N]':>10} {'|zq| max':>9} {'descent':>8} "
+                 f"{'max rise':>9} {'settle [s]':>10} {'resands':>7} {'pass':>5}"]
+        for f in data["faces"]:
+            settle = "-" if f["settle_time"] is None else f"{f['settle_time']:.3f}"
+            rise = "-" if f["max_rise"] is None else f"{f['max_rise']:.2e}"
+            lines.append(f"{f['face_id']:>4} {f['sequence_position']:>3} "
+                         f"{f['steady_force']:>10.3f} {f['max_zq_after_transient']:>9.2e} "
+                         f"{_descent(f['descent_passed']):>8} {rise:>9} "
+                         f"{settle:>10} {f['resand_count']:>7} {str(f['passed']):>5}")
+        lines.append(f"travel cost {data['total_travel_cost']:.4f}, "
+                     f"wall {data['wall_time']:.1f} s, "
+                     f"{'PASS' if data['passed'] else 'FAIL'}")
+        error = data.get("error")
         module, _, name = (data.get("error_class") or "").rpartition(".")
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path} is not a run report ({type(err).__name__}: {err})") from None
+    print("\n".join(lines))
+    if error:
+        print(f"error: {error}")
         return _exit_code(getattr(sys.modules.get(module), name, Exception), True)
     return EXIT_OK if data["passed"] else EXIT_QUALITY
 
@@ -195,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--face", type=int, default=None,
                    help="face id (default: canonical single-contact scenario)")
-    p.add_argument("--duration", type=_seconds, default=None, help="seconds")
+    p.add_argument("--duration", type=float, default=None, help="seconds")
     p.set_defaults(fn=cmd_sand)
 
     p = sub.add_parser("run", help="full pipeline: scan, model, plan, sand, assess")

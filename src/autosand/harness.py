@@ -53,26 +53,24 @@ LOG_COLUMNS = (["t"] + [f"q{i}" for i in range(1, 5)] + [f"qd{i}" for i in range
 
 @dataclass
 class SandingSetup:
-    """Everything one closed-loop sanding run needs.
-
-    x_d and f_d are the constant pose and force setpoints.  The arm starts at
-    rest in joint configuration q0 at t = 0.
+    """One closed-loop sanding run of ``config``: regulation to the pose x_d
+    and the config's force setpoint f_d against ``contact``, from rest in the
+    joint configuration q0 at t = 0, with the network build_network(config).
     """
 
-    model: dyn.RobotModel
-    spec: imp.ImpedanceSpec
-    gains: ctl.ControlConfig
-    net: ctl.RbfNetwork
+    config: PipelineConfig
     contact: dyn.BeltContact | None
     x_d: np.ndarray
-    f_d: np.ndarray
     q0: np.ndarray
     duration: float
-    dt_control: float
-    dt_physics: float
-    force_noise: float
     noise_seed: int
     disturbance: object = None      # callable t -> joint torque, or None
+    f_d: np.ndarray = field(init=False)
+    net: ctl.RbfNetwork = field(init=False)
+
+    def __post_init__(self):
+        self.f_d = np.array([self.config.setpoint.force, 0.0, 0.0])
+        self.net = build_network(self.config)
 
 
 @dataclass
@@ -92,18 +90,19 @@ class SandingResult:
 def simulate_sanding(setup: SandingSetup) -> SandingResult:
     """Run the adaptive impedance controller against the simulated arm.
 
-    The controller runs at dt_control with zero-order hold; the plant
-    integrates at dt_physics.  The measured force is the ideal normal contact
-    force plus optional sensor noise; the tangential abrasion drag acts on the
-    plant only.  The network adapts on a copy, so ``setup`` is left unchanged.
+    The controller runs at the config's dt_control with zero-order hold; the
+    plant integrates at its dt_physics.  The measured force is the ideal
+    normal contact force plus optional sensor noise; the tangential abrasion
+    drag acts on the plant only.  The network adapts on a copy, so ``setup``
+    is left unchanged.
     """
-    n_sub = round(setup.dt_control / setup.dt_physics)
-    if abs(n_sub - setup.dt_control / setup.dt_physics) > 1e-9 or n_sub < 1:
-        raise ValueError("dt_control must be an integer multiple of dt_physics")
-    n_ctrl = int(round(setup.duration / setup.dt_control))
+    cfg = setup.config
+    model, spec, gains = cfg.robot, cfg.impedance, cfg.control
+    dt_control, dt_physics = cfg.sim.dt_control, cfg.sim.dt_physics
+    n_sub = round(dt_control / dt_physics)     # PipelineConfig checks the ratio
+    n_ctrl = int(round(setup.duration / dt_control))
     rng = np.random.default_rng(setup.noise_seed)
 
-    model = setup.model
     q = np.array(setup.q0, dtype=float)
     qdot = np.zeros(4)
     t = 0.0
@@ -112,7 +111,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     xd_dot = np.zeros(3)            # constant setpoint: no feedforward
     qdr_prev = None
 
-    step, contact, dt_physics = dyn.step, setup.contact, setup.dt_physics
+    step, contact = dyn.step, setup.contact
     log = np.zeros((n_ctrl, len(LOG_COLUMNS)))
     z_hist = np.zeros((n_ctrl, 3))
 
@@ -121,19 +120,18 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         jac = dyn.jacobian(model, q)
         xdot = jac @ qdot
         f_meas = np.zeros(3) if contact is None else dyn.contact_force(contact, x, xdot)
-        if setup.force_noise > 0.0:
-            f_meas = f_meas + rng.standard_normal(3) * setup.force_noise
+        if gains.force_noise > 0.0:
+            f_meas = f_meas + rng.standard_normal(3) * gains.force_noise
         dx = x - setup.x_d
-        filt = imp.filter_force_step(filt, f_meas - setup.f_d, setup.spec,
-                                     setup.dt_control)
+        filt = imp.filter_force_step(filt, f_meas - setup.f_d, spec, dt_control)
         j_pinv = dyn.pseudo_inverse(jac)
-        qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, filt, setup.spec)
-        qddr = np.zeros(4) if qdr_prev is None else (qdr - qdr_prev) / setup.dt_control
+        qdr = ctl.reference_velocity(j_pinv, xd_dot, dx, filt, spec)
+        qddr = np.zeros(4) if qdr_prev is None else (qdr - qdr_prev) / dt_control
         qdr_prev = qdr
         zq = ctl.velocity_error(qdot, qdr)
         theta = ctl.rbf_activation(net, q, qdot, qdr, qddr)
-        u = ctl.control_law(setup.gains, net, zq, theta, jac.T @ f_meas)
-        ctl.weight_update(net, theta, zq, setup.dt_control)
+        u = ctl.control_law(gains, net, zq, theta, jac.T @ f_meas)
+        ctl.weight_update(net, theta, zq, dt_control)
         w = net.weights.ravel()
         w_norm = math.sqrt(w.dot(w))        # np.linalg.norm's sum and root
         if not np.isfinite(w_norm):
@@ -141,7 +139,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
 
         mass, _, _ = dyn.dynamics_terms(model, q, qdot)
         v_obs = 0.5 * zq @ mass @ zq
-        z_hist[i] = imp.impedance_error(dx, xdot, setup.spec, filt)
+        z_hist[i] = imp.impedance_error(dx, xdot, spec, filt)
         log[i] = np.concatenate([[t], q, qdot, x, f_meas, zq, u, [w_norm, v_obs]])
 
         tau_ext = setup.disturbance(t) if setup.disturbance else None
@@ -238,22 +236,7 @@ def build_network(config: PipelineConfig) -> ctl.RbfNetwork:
                                           derive_seed(config.sim.seed, 23))
 
 
-def build_setup(config: PipelineConfig, contact: dyn.BeltContact, x_d, q0,
-                duration: float, force_noise: float, noise_seed: int) -> SandingSetup:
-    """Regulation to the pose x_d and the config's force setpoint against
-    ``contact``, starting at rest in q0.  The gains are a copy of
-    config.control, so changing them leaves the config unchanged."""
-    return SandingSetup(
-        model=config.robot, spec=config.impedance, gains=copy.copy(config.control),
-        net=build_network(config), contact=contact, x_d=x_d,
-        f_d=np.array([config.setpoint.force, 0.0, 0.0]),
-        q0=q0, duration=duration,
-        dt_control=config.sim.dt_control, dt_physics=config.sim.dt_physics,
-        force_noise=force_noise, noise_seed=noise_seed)
-
-
-def nominal_setup(config: PipelineConfig, duration: float = 10.0,
-                  force_noise: float | None = None) -> SandingSetup:
+def nominal_setup(config: PipelineConfig, duration: float = 10.0) -> SandingSetup:
     """Canonical single-contact regulation scenario with the headline setpoints
     (x_d 51.5 mm along the normal, f_d -25 N)."""
     contact = config.contact.belt(0.049)
@@ -262,10 +245,8 @@ def nominal_setup(config: PipelineConfig, duration: float = 10.0,
     q0 = np.array([contact.plane_offset - l1 * np.cos(th1) - l2,
                    -l1 * np.sin(th1), th1, -th1])
     x0 = dyn.forward_kinematics(config.robot, q0)
-    return build_setup(
-        config, contact, np.array([0.0515, x0[1], 0.0]), q0, duration,
-        config.control.force_noise if force_noise is None else force_noise,
-        derive_seed(config.sim.seed, 31))
+    return SandingSetup(config, contact, np.array([0.0515, x0[1], 0.0]), q0, duration,
+                        derive_seed(config.sim.seed, 31))
 
 
 # --- scanning helpers ------------------------------------------------------------
@@ -486,10 +467,9 @@ def _sand_face(config, cell, task, attempt, out):
                                   - cell.mesh.face_support(task.face_id))
     depth = abs(config.setpoint.force) / config.contact.stiffness
     x_d = np.array([contact.plane_offset + depth, 0.0, task.contact[2] + task.contact[3]])
-    setup = build_setup(config, contact, x_d, task.contact,
-                        config.sim.sanding_duration, config.control.force_noise,
-                        derive_seed(config.sim.seed, 13, task.face_id, attempt))
-    result = simulate_sanding(setup)
+    result = simulate_sanding(SandingSetup(
+        config, contact, x_d, task.contact, config.sim.sanding_duration,
+        derive_seed(config.sim.seed, 13, task.face_id, attempt)))
     (out / "faces").mkdir(parents=True, exist_ok=True)
     write_csv(out / "faces" / f"face{task.face_id:02d}_attempt{attempt}.csv",
               LOG_COLUMNS, result.log)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,12 @@ def wide_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def noise_free(config, **control):
+    """config with a noise-free force sensor and the given [control] settings."""
+    return dataclasses.replace(config, control=dataclasses.replace(
+        config.control, force_noise=0.0, **control))
 
 
 def random_rotation(rng):

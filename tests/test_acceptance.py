@@ -18,7 +18,7 @@ from autosand import planner as pl
 from autosand import pointcloud as pc
 from autosand.config import PipelineConfig
 from autosand.geometry import RigidTransform, box
-from conftest import random_rotation, sat_box_margin
+from conftest import noise_free, random_rotation, sat_box_margin
 from test_closed_loop import block_disturbance, free_space_setup
 from test_planner import exhaustive_best, posed, straight_line_instance
 
@@ -35,7 +35,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def nominal_run(config):
-    setup = harness.nominal_setup(config, duration=10.0, force_noise=0.0)
+    setup = harness.nominal_setup(noise_free(config), duration=10.0)
     start = time.perf_counter()
     result = harness.simulate_sanding(setup)
     result.wall_time = time.perf_counter() - start
@@ -60,8 +60,7 @@ def test_criterion_2_impedance_vector_convergence(config, nominal_run):
     norms = np.linalg.norm(nominal_run.vel_errors, axis=1)
     tail_ok = norms[t >= 0.7 * t[-1]].max() < 1e-2
 
-    frozen_setup = harness.nominal_setup(config, duration=6.0, force_noise=0.0)
-    frozen_setup.net.learn_rate = 0.0
+    frozen_setup = harness.nominal_setup(noise_free(config, learn_rate=0.0), duration=6.0)
     frozen = harness.simulate_sanding(frozen_setup)
     frozen_larger = frozen.mean_zq_tail > max(nominal_run.mean_zq_tail, 1e-2)
 

@@ -1,5 +1,6 @@
 """Closed-loop behaviour of the adaptive impedance controller on the simulated arm."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from autosand import controller as ctl
 from autosand import dynamics as dyn
 from autosand import harness
 from autosand.config import PipelineConfig
+from conftest import noise_free
 
 
 def block_disturbance(seed, magnitude=5.0, dwell=0.25):
@@ -29,15 +31,16 @@ def free_space_setup(config, duration=6.0, robust_gain=None, disturbance=None):
     transient sags far before the adaptation catches it, which is exactly the
     behaviour the comparison wants to expose rather than abort on.
     """
-    setup = harness.nominal_setup(config, duration=duration, force_noise=0.0)
-    setup.model = dyn.RobotModel(joint_limits=((-5.0, 5.0),) * 4)
-    x0 = dyn.forward_kinematics(setup.model, setup.q0)
+    gains = {} if robust_gain is None else {"robust_gain": robust_gain}
+    wide = dataclasses.replace(noise_free(config, **gains),
+                               robot=dyn.RobotModel(joint_limits=((-5.0, 5.0),) * 4))
+    setup = harness.nominal_setup(wide, duration=duration)
+    setup.net = harness.build_network(config)   # over the default arm's operating box
+    x0 = dyn.forward_kinematics(wide.robot, setup.q0)
     setup.contact = None
     setup.x_d = x0 + np.array([-0.03, 0.02, 0.05])
     setup.f_d = np.zeros(3)
     setup.disturbance = disturbance
-    if robust_gain is not None:
-        setup.gains.robust_gain = robust_gain
     return setup
 
 
@@ -49,7 +52,7 @@ def config():
 @pytest.fixture(scope="module")
 def nominal_run(config):
     """The headline regulation scenario, 10 s, noise-free sensor."""
-    setup = harness.nominal_setup(config, duration=10.0, force_noise=0.0)
+    setup = harness.nominal_setup(noise_free(config), duration=10.0)
     return harness.simulate_sanding(setup)
 
 
@@ -63,13 +66,13 @@ class TestReferenceTrace:
         The pipeline's noise path is pinned by ``tests/data/pipeline_ref.json``.
         """
         expected = np.load(Path(__file__).parent / "data" / "nominal_1s_log.npy")
-        setup = harness.nominal_setup(config, duration=1.0, force_noise=0.0)
+        setup = harness.nominal_setup(noise_free(config), duration=1.0)
         result = harness.simulate_sanding(setup)
         np.testing.assert_array_equal(result.log, expected)
 
     def test_run_leaves_setup_unchanged(self, config):
         """The network adapts on a copy, so one setup can be run twice."""
-        setup = harness.nominal_setup(config, duration=0.2, force_noise=0.0)
+        setup = harness.nominal_setup(noise_free(config), duration=0.2)
         weights = setup.net.weights.copy()
         first = harness.simulate_sanding(setup)
         second = harness.simulate_sanding(setup)
@@ -78,7 +81,7 @@ class TestReferenceTrace:
         assert first.log[-1, -2] > 0.0
 
     def test_non_finite_weight_stops_the_run(self, config):
-        setup = harness.nominal_setup(config, duration=0.2, force_noise=0.0)
+        setup = harness.nominal_setup(noise_free(config), duration=0.2)
         setup.net.weights[2, 5] = np.nan
         with pytest.raises(dyn.IntegrationDiverged, match="weights"):
             harness.simulate_sanding(setup)
@@ -95,14 +98,14 @@ class TestForceRegulation:
         assert np.abs(f[window] + 25.0).max() < 1.25
 
     def test_with_sensor_noise(self, config):
-        setup = harness.nominal_setup(config, duration=5.0, force_noise=0.1)
+        setup = harness.nominal_setup(config, duration=5.0)
         result = harness.simulate_sanding(setup)
         assert abs(result.steady_force - (-25.0)) < 1.25
 
     def test_stiffer_belt_converges_with_same_gains(self, config, nominal_run):
         # ten times stiffer belt pad; damping scales with stiffness as in a
         # hysteretic (loss-factor) contact model
-        setup = harness.nominal_setup(config, duration=6.0, force_noise=0.0)
+        setup = harness.nominal_setup(noise_free(config), duration=6.0)
         scale = 10.0
         setup.contact = dyn.BeltContact(
             plane_offset=setup.contact.plane_offset,
@@ -127,9 +130,7 @@ class TestImpedanceVectorConvergence:
         assert nominal_run.monitor.settle_time is not None
 
     def test_adaptation_disabled_floor_is_larger(self, config, nominal_run):
-        setup = harness.nominal_setup(config, duration=6.0, force_noise=0.0)
-        setup.net = harness.build_network(config)
-        setup.net.learn_rate = 0.0
+        setup = harness.nominal_setup(noise_free(config, learn_rate=0.0), duration=6.0)
         frozen = harness.simulate_sanding(setup)
         assert frozen.mean_zq_tail > 100 * nominal_run.mean_zq_tail
         assert frozen.mean_zq_tail > 1e-2
@@ -170,7 +171,7 @@ class TestLyapunovDescent:
     def test_short_run_not_evaluated(self, config):
         """A 0.15 s face, as in the short benchmark cells, is shorter than
         the monitor's 0.5 s window: no verdict, and no rise."""
-        setup = harness.nominal_setup(config, duration=0.15, force_noise=0.0)
+        setup = harness.nominal_setup(noise_free(config), duration=0.15)
         result = harness.simulate_sanding(setup)
         assert result.monitor.passed is None and result.monitor.max_rise is None
         assert len(result.times) == 150 and len(result.monitor.smoothed) == 0
@@ -178,10 +179,10 @@ class TestLyapunovDescent:
     def test_monitor_reads_the_logged_record(self, config):
         """The log is the run's one per-tick record: forces are a view of it,
         and the monitor smooths the v_obs column the CSV carries, bit for bit."""
-        setup = harness.nominal_setup(config, duration=2.0, force_noise=0.1)
+        setup = harness.nominal_setup(config, duration=2.0)
         result = harness.simulate_sanding(setup)
         assert np.shares_memory(result.forces, result.log)
-        win = round(ctl.WINDOW / setup.dt_control)
+        win = round(ctl.WINDOW / config.sim.dt_control)
         v_obs = result.log[:, harness.LOG_COLUMNS.index("v_obs")]
         np.testing.assert_array_equal(
             result.monitor.smoothed, np.convolve(v_obs, np.ones(win) / win, mode="valid"))

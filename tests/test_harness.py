@@ -238,6 +238,23 @@ class TestRunReport:
         cells = capsys.readouterr().out.splitlines()[1].split()
         assert cells[4] == "-" and cells[5] == "-"
 
+    @pytest.mark.parametrize("data", [
+        [], {},
+        {"faces": [{"face_id": 0, "sequence_position": 0, "steady_force": -25.0,
+                    "max_zq_after_transient": 0.1, "descent_passed": True,
+                    "max_rise": 0.0, "resand_count": 0, "passed": True}],
+         "total_travel_cost": 1.0, "wall_time": 1.0, "passed": True},
+    ], ids=["list", "empty", "no-settle-time"])
+    def test_report_of_a_malformed_file_exit_code(self, tmp_path, capsys, data):
+        """A report.json that is not a run report gives exit 1 and one error
+        line that names the file."""
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["report", "--run", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and str(path) in err
+
 
 class TestQualityGate:
     def test_impossible_threshold_exhausts_resands(self, tmp_path):
@@ -260,12 +277,23 @@ class TestQualityGate:
         assert positions == list(range(len(report.faces)))
 
 
-class TestBuildSetup:
-    def test_gains_do_not_alias_the_config(self):
+class TestSandingSetup:
+    def test_runs_leave_the_config_unchanged(self, tmp_path):
+        config = small_config(**{"object.sides": 3, "sim.sanding_duration": 0.05})
+        before = to_ini(config)
+        harness.simulate_sanding(harness.nominal_setup(config, duration=0.05))
+        cell = harness.build_workcell(config)
+        harness._sand_face(config, cell, cell.tasks[0], 0, tmp_path)
+        assert to_ini(config) == before
+
+    def test_no_setting_is_copied(self):
+        """A sanding run reads its settings from its config alone: no field of
+        SandingSetup repeats a field of a config section."""
         config = PipelineConfig()
-        setup = harness.nominal_setup(config, duration=0.1)
-        setup.gains.robust_gain = 0.0
-        assert config.control == PipelineConfig().control
+        settings = {f.name for section in dataclasses.fields(config)
+                    for f in dataclasses.fields(getattr(config, section.name))}
+        setup_fields = {f.name for f in dataclasses.fields(harness.SandingSetup)}
+        assert sorted(settings & setup_fields) == []
 
 
 class TestSandingPhaseEdges:
@@ -549,10 +577,21 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error:") and "two control ticks" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("face", [None, 0])
+    @pytest.mark.parametrize("duration", ["0", "-1", "inf", "nan"])
+    def test_bad_duration_exit_code(self, tmp_path, capsys, face, duration):
+        """--duration is checked as [sim] sanding_duration is: exit 1, one
+        error line that names it, and nothing written."""
+        out = tmp_path / "out"
+        argv = ["sand", "--out", str(out), "--duration", duration]
+        assert cli.main(argv + ([] if face is None else ["--face", str(face)])) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "sanding_duration" in err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         for argv in (["sand", "--face", "x"], [], ["bogus"], ["run", "--nope"],
-                     ["sand", "--duration", "0"], ["sand", "--duration", "-1"],
-                     ["sand", "--duration", "inf"]):
+                     ["sand", "--duration", "x"]):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv)
             assert info.value.code == 1
@@ -625,6 +664,20 @@ class TestRuntimeDependencies:
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """Loader of a bench/ module by name; bench/ is only read, so no bytecode
+    is written there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, REPO / "bench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
 
 # Definitions used only by the tests, each kept for the reason given.
 UNUSED_ALLOWED = {
@@ -781,15 +834,21 @@ class TestConfigDomains:
         assert err.count("\n") == 1 and err.startswith("error:"), err
         assert not out.exists()
 
-    def test_known_configs_round_trip(self, monkeypatch):
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, key, default, _ in section_fields()
+        if type(default) is int])
+    def test_integer_field_rejects_a_fraction(self, section, key):
+        """A field whose default is an int admits whole numbers only, also
+        when its section is built directly rather than loaded."""
+        sub = getattr(PipelineConfig(), section)
+        with pytest.raises(ValueError, match=f"^{key} must be a finite integer"):
+            type(sub)(**{key: getattr(sub, key) + 0.5})
+
+    def test_known_configs_round_trip(self, bench):
         """PipelineConfig(), configs/default.ini and all 144 benchmark inputs
         load and come back unchanged through to_ini and from_ini, so no
         stated domain rejects a config the benchmark runs."""
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)   # bench/ is only read
-        spec = importlib.util.spec_from_file_location("workloads",
-                                                      REPO / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = bench("workloads")
         configs = [PipelineConfig(), load_config(REPO / "configs" / "default.ini")]
         configs += [workloads.build_config(name, cell, ga) for name in workloads.WORKLOADS
                     for cell in workloads.CELLS for ga in range(workloads.SEED_CYCLE)]
@@ -797,6 +856,18 @@ class TestConfigDomains:
         for config in configs:
             text = to_ini(config)
             assert to_ini(from_ini(text)) == text
+
+
+class TestBenchReference:
+    @pytest.mark.parametrize("workload", ["plan_dense", "sand_hold", "scan_dense"])
+    def test_first_input_matches_stored_digest(self, bench, tmp_path, workload):
+        """Each workload's first benchmark input writes the artifacts whose
+        digest bench/reference.json stores, so an artifact that moves by a bit
+        fails here before the benchmark's output check."""
+        workloads, check = bench("workloads"), bench("check")
+        harness.run_pipeline(workloads.build_config(workload, 0, 0), tmp_path)
+        assert check.digest(tmp_path) == check.expected(
+            check.load_reference(), workload, workloads.key(0, 0))
 
 
 class TestCsvFormat:
