@@ -11,10 +11,14 @@ analysis of the adaptive controller leans on that identity.
 
 The belt is the plane x = ``plane_offset``, with its normal along +x.
 
-``step`` runs ten times per control tick, so ``dynamics_terms`` and ``step``
-do their arithmetic on Python floats, with the model's constant terms
-computed once per ``RobotModel``.  The results are bit-identical to the
-matrix form, which ``tests/data/dynamics_ref.npz`` pins:
+``dynamics_terms`` is the one float kernel of a state: it takes the sines
+and cosines of th1 and th1 + th2 once and returns them with the entries of M,
+C and g that depend on the state, as a flat tuple of Python floats, with the
+model's constant terms computed once per ``RobotModel``.  ``step`` calls it
+once per plant step, and a control tick once through ``task_terms``; the
+benchmark counts exactly one call per step and one per tick.
+The matrix form (M, C, g) built from it for the tests is bit-identical to
+the matrix arithmetic that ``tests/data/dynamics_ref.npz`` pins:
 
 - The 4-column matvecs D3 qdot and D4 qdot in C, and C qdot, are scalar
   sums in the order numpy's BLAS (OpenBLAS) sums a C-ordered row without
@@ -25,7 +29,8 @@ matrix form, which ``tests/data/dynamics_ref.npz`` pins:
 - Three calls stay in numpy: the transposed matvec J^T f and the dot
   product qdot . qdot of the runaway test, whose BLAS kernels sum with FMA,
   which Python floats cannot reproduce, and LAPACK ``dgesv`` for the
-  acceleration, which ``np.linalg.solve`` calls.
+  acceleration, which ``np.linalg.solve`` calls.  So ``step`` builds only
+  M as an array, and J in contact.
 
 ``pseudo_inverse`` solves with ``dgesv`` too and transposes a C-ordered copy
 of the solution, so its result has the memory layout of ``np.linalg.solve``'s,
@@ -104,8 +109,8 @@ class RobotModel:
         self._hoist_constants()
 
     def _hoist_constants(self):
-        """The constant terms of dynamics_terms and step, as Python floats,
-        associated as dynamics_terms adds them."""
+        """The constant terms of dynamics_terms, as Python floats, associated
+        as dynamics_terms adds them."""
         m1, m2, m3, m4 = self.link_masses.tolist()
         self.l1, self.l2 = l1, l2 = self.link_lengths.tolist()
         r1, r2, r3, r4 = self.rotor_inertias.tolist()
@@ -149,25 +154,53 @@ class BeltContact:
         return -(self.stiffness * depth + self.damping * max(rate, 0.0))
 
 
+def _kinematics(model: RobotModel, q0: float, q1: float, s1: float, c1: float,
+                s12: float, c12: float) -> tuple:
+    """The tool position (px, py) and the Jacobian's entries j02, j03, j12,
+    j13, from the carriage joints and the sines and cosines of th1 and phi."""
+    l1, l2 = model.l1, model.l2
+    return (q0 + l1 * c1 + l2 * c12, q1 + l1 * s1 + l2 * s12,
+            -l1 * s1 - l2 * s12, -l2 * s12, l1 * c1 + l2 * c12, l2 * c12)
+
+
+def _jacobian(j02: float, j03: float, j12: float, j13: float) -> np.ndarray:
+    """The task Jacobian from its entries; the prismatic columns are the identity block."""
+    return np.array([1.0, 0.0, j02, j03, 0.0, 1.0, j12, j13, 0.0, 0.0, 1.0, 1.0]).reshape(3, 4)
+
+
+def _mass(model: RobotModel, m13: float, m14: float, m23: float, m24: float,
+          m33: float, m34: float) -> np.ndarray:
+    """The mass matrix from its configuration-dependent entries."""
+    return np.array([model.m00, 0.0, m13, m14, 0.0, model.m11, m23, m24,
+                     m13, m23, m33, m34, m14, m24, m34, model.m44]).reshape(4, 4)
+
+
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Task-space position (px, py, phi) of the end effector."""
-    l1, l2 = model.l1, model.l2
     q0, q1, th1, th2 = _floats(q)
     phi = th1 + th2
-    return np.array([q0 + l1 * math.cos(th1) + l2 * math.cos(phi),
-                     q1 + l1 * math.sin(th1) + l2 * math.sin(phi),
-                     phi])
+    px, py, *_ = _kinematics(model, q0, q1, math.sin(th1), math.cos(th1),
+                             math.sin(phi), math.cos(phi))
+    return np.array([px, py, phi])
 
 
 def jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Analytic task Jacobian; the prismatic columns are the identity block."""
-    l1, l2 = model.l1, model.l2
+    """Analytic 3x4 task Jacobian at q."""
     _, _, th1, th2 = _floats(q)
     phi = th1 + th2
-    s12, c12 = math.sin(phi), math.cos(phi)
-    return np.array([1.0, 0.0, -l1 * math.sin(th1) - l2 * s12, -l2 * s12,
-                     0.0, 1.0, l1 * math.cos(th1) + l2 * c12, l2 * c12,
-                     0.0, 0.0, 1.0, 1.0]).reshape(3, 4)
+    _, _, *entries = _kinematics(model, 0.0, 0.0, math.sin(th1), math.cos(th1),
+                                 math.sin(phi), math.cos(phi))
+    return _jacobian(*entries)
+
+
+def contact_configuration(model: RobotModel, px: float, py: float, phi: float,
+                          th1: float) -> np.ndarray:
+    """The inverse of forward_kinematics: the joint configuration that puts
+    the tool at (px, py, phi) with the first link at angle th1."""
+    l1, l2 = model.l1, model.l2
+    return np.array([px - l1 * math.cos(th1) - l2 * math.cos(phi),
+                     py - l1 * math.sin(th1) - l2 * math.sin(phi),
+                     th1, phi - th1])
 
 
 def pseudo_inverse(jac: np.ndarray) -> np.ndarray:
@@ -194,17 +227,20 @@ def pseudo_inverse(jac: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sol).T
 
 
-def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
-    """Mass matrix, Coriolis matrix and gravity vector at (q, qdot).
+def dynamics_terms(model: RobotModel, q, qdot) -> tuple:
+    """The float kernel of the state (q, qdot), given as sequences of floats:
+    the tuple (s1, c1, s12, c12, m13, m14, m23, m24, m33, m34, C02, C03, C12,
+    C13, C20, C21, C22, C23, C30, C31, C32, g0, g1, g2, g3) of the sines and
+    cosines of th1 and th1 + th2, the entries of M that depend on q, the
+    entries of C that are not always zero, and the gravity vector g.
 
-    Returns (M, C, g) with M symmetric positive definite and C built from
-    Christoffel symbols so dM/dt - 2C is skew-symmetric.  With D3 and D4 the
-    partial derivatives of M with respect to th1 = q[2] and th2 = q[3],
-    C = (A + B - B^T) / 2, where A = D3 qdot[2] + D4 qdot[3] and B is zero
-    but for its columns 2 and 3, D3 qdot and D4 qdot.
+    C is built from Christoffel symbols so dM/dt - 2C is skew-symmetric.  With
+    D3 and D4 the partial derivatives of M with respect to th1 = q[2] and
+    th2 = q[3], C = (A + B - B^T) / 2, where A = D3 qdot[2] + D4 qdot[3] and B
+    is zero but for its columns 2 and 3, D3 qdot and D4 qdot.
     """
-    _, _, th1, th2 = _floats(q)
-    qd0, qd1, qd2, qd3 = _floats(qdot)
+    _, _, th1, th2 = q
+    qd0, qd1, qd2, qd3 = qdot
     phi = th1 + th2
     s1, c1 = math.sin(th1), math.cos(th1)
     s12, c12 = math.sin(phi), math.cos(phi)
@@ -216,12 +252,6 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     m23 = alpha * c1 + beta * c12
     m24 = beta * c12
     m34 = model.k34 + gam * c2
-    mass = np.array([
-        model.m00, 0.0, m13, m14,
-        0.0, model.m11, m23, m24,
-        m13, m23, model.k33 + model.gam2 * c2 + model.r3, m34,
-        m14, m24, m34, model.m44,
-    ]).reshape(4, 4)
 
     # the carriage coordinates never appear in M; m13 and m14 recur here as
     # the derivatives of m23 and m24
@@ -248,18 +278,34 @@ def dynamics_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray):
     a13 = m14 * qd2 + m14 * qd3
     a22 = z2 + dm33 * qd3
     a23 = z2 + dm34 * qd3
-    cor = np.array([
-        0.0, 0.0, 0.5 * (a02 + b30), 0.5 * (a03 + b40),
-        0.0, 0.0, 0.5 * (a12 + b31), 0.5 * (a13 + b41),
-        0.5 * (a02 + 0.0 - b30), 0.5 * (a12 + 0.0 - b31),
-        0.5 * (a22 + b32 - b32), 0.5 * (a23 + b42 - b33),
-        0.5 * (a03 + 0.0 - b40), 0.5 * (a13 + 0.0 - b41),
-        0.5 * (a23 + b33 - b42), 0.0,
-    ]).reshape(4, 4)
 
     g = model.gravity
-    grav = np.array([g * 0.0, model.gm234, g * m23, g * m24])
-    return mass, cor, grav
+    return (s1, c1, s12, c12,
+            m13, m14, m23, m24, model.k33 + model.gam2 * c2 + model.r3, m34,
+            0.5 * (a02 + b30), 0.5 * (a03 + b40), 0.5 * (a12 + b31), 0.5 * (a13 + b41),
+            0.5 * (a02 + 0.0 - b30), 0.5 * (a12 + 0.0 - b31),
+            0.5 * (a22 + b32 - b32), 0.5 * (a23 + b42 - b33),
+            0.5 * (a03 + 0.0 - b40), 0.5 * (a13 + 0.0 - b41), 0.5 * (a23 + b33 - b42),
+            g * 0.0, model.gm234, g * m23, g * m24)
+
+
+def dynamics_matrices(model: RobotModel, q, qdot) -> tuple:
+    """(M, C, g) at (q, qdot) as arrays, built from dynamics_terms."""
+    terms = dynamics_terms(model, _floats(q), _floats(qdot))
+    cor = np.zeros(16)
+    cor[[2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14]] = terms[10:21]
+    return _mass(model, *terms[4:10]), cor.reshape(4, 4), np.array(terms[21:])
+
+
+def task_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray) -> tuple:
+    """(x, J, M) at (q, qdot): the task pose, the task Jacobian and the mass
+    matrix, from one dynamics_terms call."""
+    qf = _floats(q)
+    s1, c1, s12, c12, m13, m14, m23, m24, m33, m34, *_ = \
+        dynamics_terms(model, qf, _floats(qdot))
+    px, py, j02, j03, j12, j13 = _kinematics(model, qf[0], qf[1], s1, c1, s12, c12)
+    return (np.array([px, py, qf[2] + qf[3]]), _jacobian(j02, j03, j12, j13),
+            _mass(model, m13, m14, m23, m24, m33, m34))
 
 
 def contact_force(contact: BeltContact, x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
@@ -291,40 +337,34 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
-    mass, cor, grav = dynamics_terms(model, q, qdot)
-    q0, q1, th1, th2 = _floats(q)
-    qd0, qd1, qd2, qd3 = _floats(qdot)
+    q0, q1, th1, th2 = q = _floats(q)
+    qd0, qd1, qd2, qd3 = qdot = _floats(qdot)
+    (s1, c1, s12, c12, m13, m14, m23, m24, m33, m34,
+     C02, C03, C12, C13, C20, C21, C22, C23, C30, C31, C32,
+     g0, g1, g2, g3) = dynamics_terms(model, q, qdot)
     z0, z1, z3 = 0.0 * qd0, 0.0 * qd1, 0.0 * qd3
-    _, _, c02, c03, _, _, c12, c13, c20, c21, c22, c23, c30, c31, c32, _ = \
-        cor.ravel().tolist()
-    g0, g1, g2, g3 = grav.tolist()
     u0, u1, u2, u3 = _floats(u)
     # u - C qdot - g, with C qdot summed as numpy's matvec sums it
-    tau = [u0 - (((z0 + c02 * qd2) + (z1 + c03 * qd3)) + 0.0) - g0,
-           u1 - (((z0 + c12 * qd2) + (z1 + c13 * qd3)) + 0.0) - g1,
-           u2 - (((c20 * qd0 + c22 * qd2) + (c21 * qd1 + c23 * qd3)) + 0.0) - g2,
-           u3 - (((c30 * qd0 + c32 * qd2) + (c31 * qd1 + z3)) + 0.0) - g3]
+    tau = [u0 - (((z0 + C02 * qd2) + (z1 + C03 * qd3)) + 0.0) - g0,
+           u1 - (((z0 + C12 * qd2) + (z1 + C13 * qd3)) + 0.0) - g1,
+           u2 - (((C20 * qd0 + C22 * qd2) + (C21 * qd1 + C23 * qd3)) + 0.0) - g2,
+           u3 - (((C30 * qd0 + C32 * qd2) + (C31 * qd1 + z3)) + 0.0) - g3]
     if contact is not None:
-        # forward_kinematics, jacobian and contact_force inlined, plus the drag
-        l1, l2 = model.l1, model.l2
-        phi = th1 + th2
-        s1, c1 = math.sin(th1), math.cos(th1)
-        s12, c12 = math.sin(phi), math.cos(phi)
-        depth = (q0 + l1 * c1 + l2 * c12) - contact.plane_offset
+        px, _, j02, j03, j12, j13 = _kinematics(model, q0, q1, s1, c1, s12, c12)
+        depth = px - contact.plane_offset
         # a NaN depth applies its NaN force, for the runaway test to catch
         if not depth <= 0.0:
-            j02, j03 = -l1 * s1 - l2 * s12, -l2 * s12
             push = contact.push(depth, qd0 + j02 * qd2 + j03 * qd3)
-            jac = np.array([1.0, 0.0, j02, j03,
-                            0.0, 1.0, l1 * c1 + l2 * c12, l2 * c12,
-                            0.0, 0.0, 1.0, 1.0]).reshape(3, 4)
-            # J^T f stays a numpy call: its kernel sums with FMA
-            jf0, jf1, jf2, jf3 = (jac.T @ np.array([push, -contact.drag, 0.0])).tolist()
+            # J^T f as f.J: numpy's cheaper call to the same kernel, with FMA
+            jf0, jf1, jf2, jf3 = np.array([push, -contact.drag, 0.0]).dot(
+                _jacobian(j02, j03, j12, j13)).tolist()
             tau = [tau[0] + jf0, tau[1] + jf1, tau[2] + jf2, tau[3] + jf3]
     if external_torque is not None:
         e0, e1, e2, e3 = _floats(external_torque)
         tau = [tau[0] + e0, tau[1] + e1, tau[2] + e2, tau[3] + e3]
-    _, _, qddot, info = dgesv(mass, tau)
+    # M is symmetric: its transpose is M in LAPACK's Fortran order, which
+    # dgesv may factor in place (overwrite_a = 1, passed by position: faster)
+    _, _, qddot, info = dgesv(_mass(model, m13, m14, m23, m24, m33, m34).T, tau, 1)
     if info:
         raise np.linalg.LinAlgError(f"singular mass matrix at t = {t:.4f}")
     a0, a1, a2, a3 = qddot.tolist()
@@ -344,16 +384,3 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
                 raise JointLimitViolation(
                     f"joint {j} at {v:.4f} outside [{low}, {high}] at t = {t:.4f}")
     return np.array(q_new), qdot_new
-
-
-def mechanical_energy(model: RobotModel, q: np.ndarray, qdot: np.ndarray) -> float:
-    """Kinetic plus gravitational potential energy (potential zero at q2 = 0)."""
-    mass, _, _ = dynamics_terms(model, q, qdot)
-    m1, m2, m3, m4 = model.link_masses
-    l1, l2 = model.link_lengths
-    s1 = math.sin(q[2])
-    s12 = math.sin(q[2] + q[3])
-    height = (m2 * q[1]
-              + m3 * (q[1] + 0.5 * l1 * s1)
-              + m4 * (q[1] + l1 * s1 + 0.5 * l2 * s12))
-    return 0.5 * qdot @ mass @ qdot + model.gravity * height

@@ -158,18 +158,3 @@ def lateral_faces(shape: ConvexShape) -> list:
     """Indices of faces whose outward normal is perpendicular to z."""
     return [i for i in range(len(shape.faces))
             if abs(shape.face_normal(i)[2]) < 1e-9]
-
-
-def point_mesh_distance(points: np.ndarray, shape: ConvexShape) -> np.ndarray:
-    """Unsigned distance from each point to the hull surface.
-
-    Exact for points outside nearest to a face interior and for points inside;
-    that covers surface-sampled clouds, which is what the tests feed it.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    signed = np.full(len(pts), -np.inf)
-    for i in range(len(shape.faces)):
-        n = shape.face_normal(i)
-        d = shape.face_support(i)
-        signed = np.maximum(signed, pts @ n - d)
-    return np.abs(signed)

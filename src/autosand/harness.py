@@ -116,8 +116,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     z_hist = np.zeros((n_ctrl, 3))
 
     for i in range(n_ctrl):
-        x = dyn.forward_kinematics(model, q)
-        jac = dyn.jacobian(model, q)
+        x, jac, mass = dyn.task_terms(model, q, qdot)
         xdot = jac @ qdot
         f_meas = np.zeros(3) if contact is None else dyn.contact_force(contact, x, xdot)
         if gains.force_noise > 0.0:
@@ -137,7 +136,6 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         if not np.isfinite(w_norm):
             raise dyn.IntegrationDiverged(f"RBF weights not finite at t = {t:.4f}")
 
-        mass, _, _ = dyn.dynamics_terms(model, q, qdot)
         v_obs = 0.5 * zq @ mass @ zq
         z_hist[i] = imp.impedance_error(dx, xdot, spec, filt)
         log[i] = np.concatenate([[t], q, qdot, x, f_meas, zq, u, [w_norm, v_obs]])
@@ -206,16 +204,12 @@ def build_workcell(config: PipelineConfig) -> Workcell:
     cc = config.contact
     belt_shape = box(cc.belt_size,
                      center=(cc.belt_x + cc.belt_size[0] / 2.0, 0.0, 0.0))
-    l1, l2 = config.robot.link_lengths
     tasks = []
     for face in faces:
         psi, support = face_geometry(mesh, face)
         phi = wrap_angle(-psi)
-        th1 = th2 = phi / 2.0
-        px = cc.belt_x - support
-        q_contact = np.array([px - l1 * np.cos(th1) - l2 * np.cos(phi),
-                              -l1 * np.sin(th1) - l2 * np.sin(phi),
-                              th1, th2])
+        q_contact = dyn.contact_configuration(config.robot, cc.belt_x - support, 0.0,
+                                              phi, phi / 2.0)
         q_approach = q_contact.copy()
         q_approach[0] -= config.pipeline.approach_clearance
         tasks.append(pln.SandingTask(face, q_approach, q_contact))
@@ -240,10 +234,7 @@ def nominal_setup(config: PipelineConfig, duration: float = 10.0) -> SandingSetu
     """Canonical single-contact regulation scenario with the headline setpoints
     (x_d 51.5 mm along the normal, f_d -25 N)."""
     contact = config.contact.belt(0.049)
-    l1, l2 = config.robot.link_lengths
-    th1 = 0.6
-    q0 = np.array([contact.plane_offset - l1 * np.cos(th1) - l2,
-                   -l1 * np.sin(th1), th1, -th1])
+    q0 = dyn.contact_configuration(config.robot, contact.plane_offset, 0.0, 0.0, 0.6)
     x0 = dyn.forward_kinematics(config.robot, q0)
     return SandingSetup(config, contact, np.array([0.0515, x0[1], 0.0]), q0, duration,
                         derive_seed(config.sim.seed, 31))
@@ -378,10 +369,10 @@ def _scan_stage(config, cell, out):
     for k, angle in enumerate(angles):
         raw = scan_view(config, cell.mesh, cell.roughness, angle,
                         derive_seed(config.sim.seed, 7, k))
-        pc.save_ply(raw, out / "scans" / f"view_{k}_raw.ply")
-        filtered = pc.field_limits_filter(raw, lo, hi)
-        pc.save_ply(filtered, out / "scans" / f"view_{k}.ply")
-        scans.append(filtered)
+        keep = pc.field_limits_mask(raw, lo, hi)
+        pc.save_ply(raw, out / "scans" / f"view_{k}_raw.ply",
+                    (keep, out / "scans" / f"view_{k}.ply"))
+        scans.append(raw.select(keep))
     (out / "scans" / "views.json").write_text(json.dumps(
         {"angles": angles, "files": [f"view_{k}.ply" for k in range(len(angles))]},
         indent=2))

@@ -11,6 +11,7 @@ behave far better than resampling the mesh per view would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -59,9 +60,6 @@ class PointCloud:
     def select(self, mask) -> "PointCloud":
         inten = None if self.intensity is None else self.intensity[mask]
         return PointCloud(self.points[mask], inten)
-
-    def transformed(self, tf: RigidTransform) -> "PointCloud":
-        return PointCloud(tf.apply(self.points), self.intensity)
 
 
 @dataclass
@@ -151,14 +149,13 @@ def synthetic_scan(mesh: ConvexShape, pose: RigidTransform, scanner: ScannerConf
     return PointCloud(pts, inten)
 
 
-def field_limits_filter(cloud: PointCloud, lower, upper) -> PointCloud:
-    """Keep exactly the points inside the closed axis-aligned box."""
+def field_limits_mask(cloud: PointCloud, lower, upper) -> np.ndarray:
+    """Mask of exactly the points inside the closed axis-aligned box."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if (lower >= upper).any():
         raise ValueError("box needs lower < upper per axis")
-    mask = ((cloud.points >= lower) & (cloud.points <= upper)).all(axis=1)
-    return cloud.select(mask)
+    return ((cloud.points >= lower) & (cloud.points <= upper)).all(axis=1)
 
 
 def sor_filter(cloud: PointCloud, k: int = 50, alpha: float = 1.0) -> PointCloud:
@@ -391,26 +388,36 @@ def assess_quality(before: PointCloud, after: PointCloud,
 
 # --- file formats ------------------------------------------------------------
 
-def write_rows(fh, columns, spec: str, sep: str) -> None:
+def write_rows(fh, columns, spec: str, sep: str, subset=None) -> None:
     """Write equal-length arrays side by side as lines of ``spec % value``,
-    256 rows per %-call: the same text as formatting value by value."""
+    256 rows per %-call: the same text as formatting value by value.  With
+    ``subset`` = (keep, kept_fh), the rows where keep holds go to kept_fh too."""
     for start in range(0, len(columns[0]), 256):
         block = np.column_stack([c[start:start + 256] for c in columns])
         line = sep.join([spec] * block.shape[1]) + "\n"
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        text = (line * len(block)) % tuple(block.ravel().tolist())
+        fh.write(text)
+        if subset is not None:
+            kept = compress(text.splitlines(True), subset[0][start:start + 256].tolist())
+            subset[1].write("".join(kept))
 
 
-def save_ply(cloud: PointCloud, path) -> None:
-    """ASCII PLY with x, y, z and optional intensity, 9 significant digits."""
+def save_ply(cloud: PointCloud, path, subset=None) -> None:
+    """ASCII PLY with x, y, z and optional intensity, 9 significant digits.
+    ``subset`` = (keep, kept_path) also writes cloud.select(keep) to
+    kept_path, formatting each row once for both files."""
+    header = ("ply\nformat ascii 1.0\nelement vertex {}\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              + ("" if cloud.intensity is None else "property float intensity\n")
+              + "end_header\n")
+    columns = [cloud.points] + ([] if cloud.intensity is None else [cloud.intensity])
     with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(cloud)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        if cloud.intensity is not None:
-            fh.write("property float intensity\n")
-        fh.write("end_header\n")
-        extra = [] if cloud.intensity is None else [cloud.intensity]
-        write_rows(fh, [cloud.points] + extra, "%.9g", " ")
+        fh.write(header.format(len(cloud)))
+        if subset is None:
+            return write_rows(fh, columns, "%.9g", " ")
+        with open(subset[1], "w") as kept_fh:
+            kept_fh.write(header.format(int(subset[0].sum())))
+            write_rows(fh, columns, "%.9g", " ", (subset[0], kept_fh))
 
 
 def load_ply(path) -> PointCloud:

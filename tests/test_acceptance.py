@@ -21,6 +21,7 @@ from autosand.geometry import RigidTransform, box
 from conftest import noise_free, random_rotation, sat_box_margin
 from test_closed_loop import block_disturbance, free_space_setup
 from test_planner import exhaustive_best, posed, straight_line_instance
+from test_pointcloud import transformed
 
 
 def verdict(name, ok, detail):
@@ -98,11 +99,11 @@ def test_criterion_4_dynamics_properties(config):
     for _ in range(1000):
         q = rng.uniform(-3, 3, 4)
         qd = rng.uniform(-3, 3, 4)
-        mass, cor, _ = dyn.dynamics_terms(model, q, qd)
+        mass, cor, _ = dyn.dynamics_matrices(model, q, qd)
         assert np.abs(mass - mass.T).max() == 0.0
         min_eig = min(min_eig, np.linalg.eigvalsh(mass).min())
-        m_plus, _, _ = dyn.dynamics_terms(model, q + eps * qd, qd)
-        m_minus, _, _ = dyn.dynamics_terms(model, q - eps * qd, qd)
+        m_plus, _, _ = dyn.dynamics_matrices(model, q + eps * qd, qd)
+        m_minus, _, _ = dyn.dynamics_matrices(model, q - eps * qd, qd)
         skew = (m_plus - m_minus) / (2 * eps) - 2 * cor
         worst_skew = max(worst_skew, np.abs(skew + skew.T).max())
     verdict("criterion 4 dynamics properties",
@@ -117,7 +118,7 @@ def test_criterion_5_icp_recovery():
                                              view_dir=(-1, -0.3, -0.5)),
                             surface_seed=5, sensor_seed=0)
     truth = RigidTransform.rotation_z(math.radians(10.0), (0.01, 0.02, 0.0))
-    tf, _ = pc.icp_register(src, src.transformed(truth))
+    tf, _ = pc.icp_register(src, transformed(src, truth))
     clean_ok = (np.abs(tf.rotation - truth.rotation).max() < 1e-6
                 and np.abs(tf.translation - truth.translation).max() < 1e-6)
 

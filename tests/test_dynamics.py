@@ -34,14 +34,14 @@ def dynamics_reference() -> dict:
     qdot[::4] = 0.0
     qdot[1::4, 2] = 0.0
     qdot[2::4, 3] = -np.abs(qdot[2::4, 3])
-    terms = [dyn.dynamics_terms(model, a, b) for a, b in zip(q, qdot)]
+    terms = [dyn.dynamics_matrices(model, a, b) for a, b in zip(q, qdot)]
 
     contact = dyn.BeltContact(plane_offset=0.049, stiffness=1e4, damping=800.0,
                               drag=2.0)
     l1, l2 = model.link_lengths
     th1 = 0.6
     q0 = np.array([0.048 - l1 * math.cos(th1) - l2, -l1 * math.sin(th1), th1, -th1])
-    _, _, grav = dyn.dynamics_terms(model, q0, np.zeros(4))
+    _, _, grav = dyn.dynamics_matrices(model, q0, np.zeros(4))
     u = grav + dyn.jacobian(model, q0).T @ np.array([30.0, 0.0, 0.0])
     tau_ext = np.array([0.3, -0.2, 0.05, -0.02])
     state, qdot_k = q0, np.array([0.02, 0.0, 0.0, 0.0])
@@ -99,7 +99,7 @@ def vector_step(model, q, qdot, u, contact, dt, external_torque=None):
     jacobian, the vector contact force and the drag vector, without the
     runaway and joint-limit tests: the reference that the scalar sums of
     ``step`` must equal bit for bit."""
-    mass, cor, grav = dyn.dynamics_terms(model, q, qdot)
+    mass, cor, grav = dyn.dynamics_matrices(model, q, qdot)
     tau = u - cor @ qdot - grav
     if contact is not None:
         jac = dyn.jacobian(model, q)
@@ -152,6 +152,19 @@ def matrix_terms(model, q, qdot):
     return mass, cor, np.array([g * 0.0, g * (m2 + m3 + m4), g * m23, g * m24])
 
 
+def mechanical_energy(model, q, qdot):
+    """Kinetic plus gravitational potential energy (potential zero at q2 = 0)."""
+    mass, _, _ = dyn.dynamics_matrices(model, q, qdot)
+    m1, m2, m3, m4 = model.link_masses
+    l1, l2 = model.link_lengths
+    s1 = math.sin(q[2])
+    s12 = math.sin(q[2] + q[3])
+    height = (m2 * q[1]
+              + m3 * (q[1] + 0.5 * l1 * s1)
+              + m4 * (q[1] + l1 * s1 + 0.5 * l2 * s12))
+    return 0.5 * qdot @ mass @ qdot + model.gravity * height
+
+
 def signed_zero_state(rng):
     """A seeded (q, qdot) in which angles (so sines) and rates are often
     exact zeros of either sign."""
@@ -185,6 +198,31 @@ class TestForwardKinematics:
         q = np.array([qx, qy, t1, t2])
         assert dyn.forward_kinematics(model, q) == pytest.approx(
             transform_chain(model, q), abs=1e-12)
+
+
+class TestContactConfiguration:
+    def test_inverts_forward_kinematics(self, model, rng):
+        for _ in range(200):
+            px, py = rng.uniform(-0.5, 0.5, 2)
+            phi, th1 = rng.uniform(-3.0, 3.0, 2)
+            q = dyn.contact_configuration(model, px, py, phi, th1)
+            assert q[2] == th1
+            assert dyn.forward_kinematics(model, q) == pytest.approx([px, py, phi],
+                                                                     abs=1e-12)
+
+    def test_matches_numpy_trigonometry(self, model):
+        """The workcell's task configurations were written with np.cos and
+        np.sin, the first link at half the tool angle.  math's functions give
+        the same bits on sampled angles, so no task moves."""
+        rng = np.random.default_rng(96)
+        l1, l2 = model.link_lengths
+        for phi in rng.uniform(-math.pi, math.pi, 20000).tolist():
+            px = float(rng.uniform(-0.3, 0.3))
+            th1 = phi / 2.0
+            old = np.array([px - l1 * np.cos(th1) - l2 * np.cos(phi),
+                            -l1 * np.sin(th1) - l2 * np.sin(phi), th1, th1])
+            got = dyn.contact_configuration(model, px, 0.0, phi, th1)
+            assert got.tobytes() == old.tobytes(), phi
 
 
 class TestJacobian:
@@ -324,7 +362,7 @@ class TestPseudoInverse:
 class TestDynamicsTerms:
     def test_mass_symmetric_positive_definite(self, model, rng):
         for _ in range(200):
-            mass, _, _ = dyn.dynamics_terms(model, rng.uniform(-3, 3, 4),
+            mass, _, _ = dyn.dynamics_matrices(model, rng.uniform(-3, 3, 4),
                                             rng.uniform(-3, 3, 4))
             assert np.abs(mass - mass.T).max() == 0.0
             assert np.linalg.eigvalsh(mass).min() > 0.0
@@ -334,9 +372,9 @@ class TestDynamicsTerms:
         for _ in range(100):
             q = rng.uniform(-3, 3, 4)
             qd = rng.uniform(-3, 3, 4)
-            _, cor, _ = dyn.dynamics_terms(model, q, qd)
-            m_plus, _, _ = dyn.dynamics_terms(model, q + eps * qd, qd)
-            m_minus, _, _ = dyn.dynamics_terms(model, q - eps * qd, qd)
+            _, cor, _ = dyn.dynamics_matrices(model, q, qd)
+            m_plus, _, _ = dyn.dynamics_matrices(model, q + eps * qd, qd)
+            m_minus, _, _ = dyn.dynamics_matrices(model, q - eps * qd, qd)
             mdot = (m_plus - m_minus) / (2 * eps)
             skew = mdot - 2 * cor
             assert np.abs(skew + skew.T).max() < 1e-7
@@ -347,13 +385,35 @@ class TestDynamicsTerms:
         rng = np.random.default_rng(93)
         for k in range(2000):
             q, qdot = signed_zero_state(rng)
-            for got, want in zip(dyn.dynamics_terms(model, q, qdot),
+            for got, want in zip(dyn.dynamics_matrices(model, q, qdot),
                                  matrix_terms(model, q, qdot)):
                 assert got.tobytes() == want.tobytes(), k
 
+    def test_kernel_returns_floats(self, model, rng):
+        for _ in range(100):
+            q, qdot = rng.uniform(-3, 3, 4), rng.uniform(-3, 3, 4)
+            terms = dyn.dynamics_terms(model, q.tolist(), qdot.tolist())
+            assert len(terms) == 25
+            assert all(type(v) is float for v in terms)
+
+    def test_tick_terms_match_separate_calls(self, model):
+        """The x, J and M that a control tick builds from one dynamics_terms
+        call (task_terms) equal forward_kinematics, jacobian and
+        dynamics_matrices' M byte for byte, on the 64 reference states and
+        on seeded states with zeros of either sign."""
+        ref = np.load(REFERENCE)
+        rng = np.random.default_rng(94)
+        states = list(zip(ref["q"], ref["qdot"])) + [signed_zero_state(rng)
+                                                     for _ in range(2000)]
+        for k, (q, qdot) in enumerate(states):
+            x, jac, mass = dyn.task_terms(model, q, qdot)
+            assert x.tobytes() == dyn.forward_kinematics(model, q).tobytes(), k
+            assert jac.tobytes() == dyn.jacobian(model, q).tobytes(), k
+            assert mass.tobytes() == dyn.dynamics_matrices(model, q, qdot)[0].tobytes(), k
+
     def test_statics(self, model, rng):
         q = rng.uniform(-1, 1, 4)
-        _, cor, grav = dyn.dynamics_terms(model, q, np.zeros(4))
+        _, cor, grav = dyn.dynamics_matrices(model, q, np.zeros(4))
         assert cor @ np.zeros(4) == pytest.approx(np.zeros(4))
         q_after, qdot_after = dyn.step(model, q, np.zeros(4), grav, None, 1e-4)
         assert np.abs(q_after - q).max() < 1e-9
@@ -393,7 +453,7 @@ class TestContact:
         """The drag reaches the plant as J^T (drag * tangent), only while
         the tool is in the belt; at q = 0 the tool sits at x = 0.5."""
         q, rest = np.zeros(4), np.zeros(4)
-        mass, _, _ = dyn.dynamics_terms(model, q, rest)
+        mass, _, _ = dyn.dynamics_matrices(model, q, rest)
         for offset, touching in ((0.499, True), (0.501, False)):
             plain = dyn.step(model, q, rest, rest,
                              dyn.BeltContact(offset, 1e4, 50.0, drag=0.0), 1e-4)[1]
@@ -407,7 +467,7 @@ class TestContact:
 class TestStep:
     def test_gravity_compensation_equilibrium(self, model):
         q, qdot = np.array([0.1, -0.1, 0.4, -0.8]), np.zeros(4)
-        _, _, grav = dyn.dynamics_terms(model, q, qdot)
+        _, _, grav = dyn.dynamics_matrices(model, q, qdot)
         for _ in range(10):
             q, qdot = dyn.step(model, q, qdot, grav, None, 1e-4)
         assert np.abs(q - [0.1, -0.1, 0.4, -0.8]).max() < 1e-9
@@ -578,11 +638,12 @@ class TestStep:
             f[zero] = rng.choice([0.0, -0.0], 3)[zero]
             flipped = np.where(zero, -f, f)
             assert (jac.T @ f).tobytes() == (jac.T @ flipped).tobytes(), (q, f)
+            # step calls the same kernel as f.J, which numpy dispatches faster
+            assert f.dot(jac).tobytes() == (jac.T @ f).tobytes(), (q, f)
 
     def test_singular_mass_raises(self, model, monkeypatch):
         zero = np.zeros(4)
-        monkeypatch.setattr(dyn, "dynamics_terms",
-                            lambda *_: (np.zeros((4, 4)), np.zeros((4, 4)), zero))
+        monkeypatch.setattr(dyn, "dgesv", lambda a, b, *_: (a, None, b, 4))
         with pytest.raises(np.linalg.LinAlgError, match="at t = 0.5000"):
             dyn.step(model, zero, zero, zero, None, 1e-4, t=0.5)
 
@@ -610,13 +671,13 @@ class TestStep:
         model = dyn.RobotModel(gravity=0.0, joint_limits=((-50, 50),) * 4)
         q = np.array([0.0, 0.0, 0.2, 0.4])
         qdot = np.array([0.05, -0.05, 1.0, -1.5])
-        e0 = dyn.mechanical_energy(model, q, qdot)
+        e0 = mechanical_energy(model, q, qdot)
         worst = 0.0
         for i in range(100000):
             q, qdot = dyn.step(model, q, qdot, np.zeros(4), None, 1e-4)
             if i % 2000 == 0:
-                worst = max(worst, abs(dyn.mechanical_energy(model, q, qdot) - e0))
-        worst = max(worst, abs(dyn.mechanical_energy(model, q, qdot) - e0))
+                worst = max(worst, abs(mechanical_energy(model, q, qdot) - e0))
+        worst = max(worst, abs(mechanical_energy(model, q, qdot) - e0))
         assert worst / abs(e0) < 1e-3
 
 

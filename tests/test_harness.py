@@ -681,12 +681,8 @@ def bench(monkeypatch):
 
 # Definitions used only by the tests, each kept for the reason given.
 UNUSED_ALLOWED = {
-    "dynamics.mechanical_energy":
-        "energy oracle of the plant's conservation test",
-    "geometry.point_mesh_distance":
-        "surface-distance oracle of the scanner and registration tests",
-    "pointcloud.PointCloud.transformed":
-        "builds the displaced target clouds of the ICP tests",
+    "dynamics.dynamics_matrices":
+        "the matrix form of the dynamics kernel, which the dynamics tests check",
 }
 
 
@@ -946,6 +942,56 @@ class TestBlockWriters:
         per_value_ply(cloud, tmp_path / "value.ply")
         assert (tmp_path / "block.ply").read_bytes() == \
             (tmp_path / "value.ply").read_bytes()
+
+
+    @pytest.mark.parametrize("n", [0, 1, 256, 257, 600])
+    @pytest.mark.parametrize("with_intensity", [False, True])
+    def test_ply_subset_matches_selected_cloud(self, tmp_path, n, with_intensity):
+        """save_ply with a subset writes the kept rows from the same
+        formatted block: the file equals save_ply of the kept rows alone."""
+        rng = np.random.default_rng(n)
+        rows = edge_rows(n, 4, n + 2) if n else np.zeros((0, 4))
+        cloud = pc.PointCloud(np.zeros((n, 3)),
+                              rows[:, 3] if with_intensity else None)
+        cloud.points = rows[:, :3]      # non-finite coordinates, past the check
+        keep = rng.random(n) < 0.7
+        pc.save_ply(cloud, tmp_path / "raw.ply", (keep, tmp_path / "kept.ply"))
+        pc.save_ply(cloud, tmp_path / "alone.ply")
+        selected = pc.PointCloud(np.zeros((int(keep.sum()), 3)),
+                                 rows[keep, 3] if with_intensity else None)
+        selected.points = rows[keep, :3]
+        pc.save_ply(selected, tmp_path / "selected.ply")
+        assert (tmp_path / "raw.ply").read_bytes() == (tmp_path / "alone.ply").read_bytes()
+        assert (tmp_path / "kept.ply").read_bytes() == \
+            (tmp_path / "selected.ply").read_bytes()
+
+
+class TestBenchTracer:
+    def test_every_wrapped_function_exists(self, bench):
+        """bench/spans.py wraps the program's calls by name, so a rename in
+        src/ shows here as a missing wrap, not only in bench/tests."""
+        tracer = bench("spans").Tracer("tier1")
+        tracer.install()
+        try:
+            assert tracer.missing == []
+        finally:
+            tracer.uninstall()
+
+    def test_one_kernel_call_per_step_and_tick(self, bench):
+        """The benchmark counts dynamics_terms calls as steps plus control
+        ticks: each plant step and each tick makes exactly one."""
+        spans = bench("spans")
+        tracer = spans.Tracer("tier1")
+        tracer.install()
+        try:
+            harness.simulate_sanding(harness.nominal_setup(PipelineConfig(),
+                                                           duration=0.01))
+        finally:
+            tracer.uninstall()
+        layers = spans.summarize(tracer)
+        assert layers["harness.control_ticks"] == 10
+        assert layers["dynamics.step.calls"] == 100
+        assert layers["dynamics.dynamics_terms.calls"] == 110
 
 
 class TestScripts:
