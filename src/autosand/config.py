@@ -90,6 +90,14 @@ class SimConfig:
               dt_control="> 0", sanding_duration="> 0", seed=">= 0")
 
 
+def substeps(sim: SimConfig) -> int:
+    """Plant steps per control tick; dt_control must be a whole multiple of dt_physics."""
+    ratio = sim.dt_control / sim.dt_physics
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise ValueError("[sim] dt_control must be an integer multiple of dt_physics")
+    return round(ratio)
+
+
 @dataclass
 class PipelineOptions:
     max_resand: int = 3
@@ -118,9 +126,7 @@ class PipelineConfig:
     pipeline: PipelineOptions = field(default_factory=PipelineOptions)
 
     def __post_init__(self):
-        ratio = self.sim.dt_control / self.sim.dt_physics
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError("[sim] dt_control must be an integer multiple of dt_physics")
+        substeps(self.sim)
         if round(self.sim.sanding_duration / self.sim.dt_control) < 2:
             raise ValueError(f"[sim] sanding_duration ({self.sim.sanding_duration:g} s) must "
                              f"span at least two control ticks of {self.sim.dt_control:g} s")

@@ -21,7 +21,7 @@ from . import dynamics as dyn
 from . import impedance as imp
 from . import planner as pln
 from . import pointcloud as pc
-from .config import PipelineConfig
+from .config import PipelineConfig, substeps
 from .geometry import ConvexShape, RigidTransform, box, lateral_faces, prism
 
 
@@ -99,7 +99,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     cfg = setup.config
     model, spec, gains = cfg.robot, cfg.impedance, cfg.control
     dt_control, dt_physics = cfg.sim.dt_control, cfg.sim.dt_physics
-    n_sub = round(dt_control / dt_physics)     # PipelineConfig checks the ratio
+    n_sub = substeps(cfg.sim)
     n_ctrl = int(round(setup.duration / dt_control))
     rng = np.random.default_rng(setup.noise_seed)
 

@@ -19,9 +19,9 @@ from scipy.spatial import cKDTree
 from .domains import check
 from .geometry import ConvexShape, RigidTransform
 
-SOR_BLOCK = 8192   # points per SOR query: bounds its (block, k + 1) arrays
-ICP_LEAFSIZE = 48  # points per leaf of ICP's target tree: the fastest of 16/32/48/64
-ICP_BOUND = 1.5    # ICP searches out to this many times the last gate
+SOR_ENTRIES = 2**17  # neighbours per SOR query: 1 MiB per float64 or intp array
+ICP_LEAFSIZE = 48    # points per leaf of ICP's target tree: the fastest of 16/32/48/64
+ICP_BOUND = 1.5      # ICP searches out to this many times the last gate
 
 
 class EmptyScan(Exception):
@@ -164,9 +164,12 @@ def sor_filter(cloud: PointCloud, k: int = 50, alpha: float = 1.0) -> PointCloud
     Points whose mean distance to their k nearest neighbours exceeds the
     cloud-wide mean plus alpha standard deviations are dropped.
 
-    The tree is queried on every core, SOR_BLOCK points at a time.  Each
-    point's neighbours are searched on their own and each mean reduces its own
-    row, so neither the thread count nor the block size can change a bit.
+    The tree is queried on every core, max(1, SOR_ENTRIES // (k + 1)) points
+    at a time, so a block's distance and index arrays stay within SOR_ENTRIES
+    entries whatever k is.  Each block is reduced to its row means before the
+    next query, so only one block is alive at a time.  Each point's
+    neighbours are searched on their own and each mean reduces its own row,
+    so neither the thread count nor the block size can change a bit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -174,10 +177,10 @@ def sor_filter(cloud: PointCloud, k: int = 50, alpha: float = 1.0) -> PointCloud
         raise TooFewPoints(f"need more than {k} points, got {len(cloud)}")
     pts = cloud.points
     tree = cKDTree(pts)
-    mean_d = np.empty(len(pts))
-    for start in range(0, len(pts), SOR_BLOCK):
-        dists, _ = tree.query(pts[start:start + SOR_BLOCK], k=k + 1, workers=-1)
-        mean_d[start:start + SOR_BLOCK] = dists[:, 1:].mean(axis=1)
+    rows = max(1, SOR_ENTRIES // (k + 1))
+    mean_d = np.concatenate([
+        tree.query(pts[start:start + rows], k=k + 1, workers=-1)[0][:, 1:].mean(axis=1)
+        for start in range(0, len(pts), rows)])
     threshold = mean_d.mean() + alpha * mean_d.std()
     return cloud.select(mean_d <= threshold)
 

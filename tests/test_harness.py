@@ -122,6 +122,13 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             PipelineConfig(sim=cfg.sim)
 
+    def test_dt_ratio_checked_when_sanding(self):
+        """A section changed after the config was built is checked again when it runs."""
+        cfg = PipelineConfig()
+        cfg.sim.dt_control = 1.5e-4
+        with pytest.raises(ValueError, match="integer multiple of dt_physics"):
+            harness.simulate_sanding(harness.nominal_setup(cfg, duration=0.003))
+
     @pytest.mark.parametrize("duration, ok", [(1e-3, False), (1.4e-3, False),
                                                (1.6e-3, True), (2e-3, True)])
     def test_sanding_duration_spans_two_ticks(self, duration, ok):

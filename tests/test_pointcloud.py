@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,11 @@ def integer_grid(n=8):
     return g.reshape(-1, 3)
 
 
+def sor_rows(k):
+    """Points per sor_filter query at neighbourhood size k: the entry budget's rule."""
+    return max(1, pc.SOR_ENTRIES // (k + 1))
+
+
 def one_shot_sor(cloud, k, alpha):
     """sor_filter as one single-threaded query of the whole cloud: the
     reference that the blocked query on every core must equal bit for bit.
@@ -232,17 +238,18 @@ class TestSorFilter:
         assert np.array_equal(once.points, twice.points)
 
     def test_blocks_and_threads_match_one_shot_query(self, rng):
-        k = 6
         lattice = integer_grid()
-        n = pc.SOR_BLOCK + 1
-        clouds = [
-            # exact distance ties, and zero distances to the duplicates
-            pc.PointCloud(np.vstack([lattice, lattice[::3]])),
-            # a last block of one point
-            pc.PointCloud(rng.standard_normal((n, 3)), rng.uniform(0.0, 1.0, n)),
-            pc.PointCloud(rng.standard_normal((k + 1, 3))),
-        ]
-        for cloud in clouds:
+        clouds = []
+        for k in (6, 200):     # at k = 200 the lattice cloud spans two blocks too
+            n = 2 * sor_rows(k) + 1
+            clouds += [
+                # exact distance ties, and zero distances to the duplicates
+                (k, pc.PointCloud(np.vstack([lattice, lattice[::3]]))),
+                # three blocks, the last of one point
+                (k, pc.PointCloud(rng.standard_normal((n, 3)), rng.uniform(0.0, 1.0, n))),
+                (k, pc.PointCloud(rng.standard_normal((k + 1, 3)))),
+            ]
+        for k, cloud in clouds:
             _, mean_d = one_shot_sor(cloud, k, 0.0)
             # alphas that put the threshold on a point's own mean, where one
             # ulp of any mean decides whether that point is kept
@@ -255,6 +262,20 @@ class TestSorFilter:
                 assert got.points.tobytes() == want.points.tobytes()
                 if cloud.intensity is not None:
                     assert got.intensity.tobytes() == want.intensity.tobytes()
+
+    @pytest.mark.parametrize("k", [50, 200])
+    def test_memory_bounded_by_entry_budget(self, rng, k):
+        """One query block of at most SOR_ENTRIES neighbours is alive at a time,
+        so the traced peak stays small and does not grow with k.  numpy's
+        buffers are traced; the tree's own nodes are not."""
+        cloud = pc.PointCloud(rng.standard_normal((20_000, 3)))
+        tracemalloc.start()
+        try:
+            pc.sor_filter(cloud, k=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_too_few_points(self):
         with pytest.raises(pc.TooFewPoints):
@@ -547,14 +568,15 @@ class TestMergeScans:
         scans, angles = self.make_scans(cube, 4, noise=2e-4)
         merged = pc.merge_scans(scans, angles)
         n_points = sum(len(s) for s in scans)
-        assert n_points > pc.SOR_BLOCK
+        k = pc.SorConfig().k
+        assert n_points > sor_rows(k)
 
         class SingleThreadTree(cKDTree):
             def query(self, x, *args, **kwargs):
                 return super().query(x, *args, **{**kwargs, "workers": 1})
 
         monkeypatch.setattr(pc, "cKDTree", SingleThreadTree)
-        monkeypatch.setattr(pc, "SOR_BLOCK", n_points)
+        monkeypatch.setattr(pc, "SOR_ENTRIES", n_points * (k + 1))   # one block
         single = pc.merge_scans(scans, angles)
         assert merged.points.tobytes() == single.points.tobytes()
         assert merged.intensity.tobytes() == single.intensity.tobytes()
