@@ -26,8 +26,9 @@ def run_variant(name, config, out_dir, robust_gain=None, learn_rate=None,
     gains = {key: value for key, value in (("robust_gain", robust_gain),
                                            ("learn_rate", learn_rate)) if value is not None}
     control = dataclasses.replace(config.control, force_noise=0.0, **gains)
-    config = dataclasses.replace(config, contact=contact, control=control)
-    result = harness.simulate_sanding(harness.nominal_setup(config, duration=duration))
+    sim = dataclasses.replace(config.sim, sanding_duration=duration)
+    config = dataclasses.replace(config, contact=contact, control=control, sim=sim)
+    result = harness.simulate_sanding(harness.nominal_setup(config))
     harness.write_csv(out_dir / f"{name}.csv", harness.LOG_COLUMNS, result.log)
     return result
 

@@ -112,8 +112,7 @@ def cmd_sand(args) -> int:
             config, sim=dataclasses.replace(config.sim, sanding_duration=args.duration))
     out = Path(args.out)
     if args.face is None:
-        duration = {} if args.duration is None else {"duration": args.duration}
-        result = harness.simulate_sanding(harness.nominal_setup(config, **duration))
+        result = harness.simulate_sanding(harness.nominal_setup(config))
         out.mkdir(parents=True, exist_ok=True)
         harness.write_csv(out / "sand_nominal.csv", harness.LOG_COLUMNS, result.log)
     else:

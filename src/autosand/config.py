@@ -35,7 +35,7 @@ class ContactConfig:
     damping: float = 800.0
     drag: float = 2.0
     belt_x: float = 0.11           # world x of the belt surface plane
-    belt_size: tuple = (0.15, 0.5, 0.3)
+    belt_size: np.ndarray = (0.15, 0.5, 0.3)
 
     def __post_init__(self):
         check(self, belt_x="", belt_size="> 0")
@@ -102,10 +102,10 @@ def substeps(sim: SimConfig) -> int:
 class PipelineOptions:
     max_resand: int = 3
     approach_clearance: float = 0.03
-    home: tuple = (-0.6, 0.3, 0.0, 0.0)
+    home: np.ndarray = (-0.6, 0.3, 0.0, 0.0)
 
     def __post_init__(self):
-        check(self, max_resand=">= 0", approach_clearance="> 0")
+        check(self, max_resand=">= 0", approach_clearance="> 0", home="")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""The one load check of every setting: the domain of a section's field."""
+"""The one load check of every setting: the domain of a section's field, and
+the shape of an array setting."""
 
 import dataclasses
 import operator
@@ -9,11 +10,24 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operato
 
 
 def check(section, **domains: str) -> None:
-    """Raise ValueError naming the first field of section, in the order given,
-    with an entry that is not finite or not in its domain: comparisons joined by
-    "and", such as "> 0" or ">= 0 and <= 1"; "" admits every finite value.  A
-    field whose default is an int admits whole numbers only."""
-    integral = {f.name for f in dataclasses.fields(section) if type(f.default) is int}
+    """Make each field of section whose default is a tuple a read-only float64
+    array of exactly the default's shape (a value of any other shape raises
+    ValueError: nothing is broadcast), then raise ValueError naming the first
+    field of section, in the order given, with an entry that is not finite or
+    not in its domain: comparisons joined by "and", such as "> 0" or ">= 0 and
+    <= 1"; "" admits every finite value.  A field whose default is an int
+    admits whole numbers only."""
+    integral = set()
+    for f in dataclasses.fields(section):
+        if type(f.default) is int:
+            integral.add(f.name)
+        elif type(f.default) is tuple:
+            value = np.array(getattr(section, f.name), dtype=float)
+            if value.shape != np.shape(f.default):
+                raise ValueError(f"{f.name} must have shape {np.shape(f.default)}, "
+                                 f"got {value.shape}")
+            value.flags.writeable = False
+            setattr(section, f.name, value)
     for name, domain in domains.items():
         value = getattr(section, name)
         entries = np.asarray(value, dtype=float)

@@ -66,10 +66,6 @@ class JointLimitViolation(Exception):
     """A joint moved outside its configured range (reported, never clamped)."""
 
 
-def _arr(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
-
-
 def _floats(v) -> list:
     """The entries of a vector, given as an array or a sequence, as Python numbers."""
     return v.tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]
@@ -95,12 +91,6 @@ class RobotModel:
     acceleration_limits: np.ndarray = (2.0, 2.0, 8.0, 8.0)
 
     def __post_init__(self):
-        self.link_lengths = _arr(self.link_lengths).reshape(2)
-        self.link_masses = _arr(self.link_masses).reshape(4)
-        self.rotor_inertias = _arr(self.rotor_inertias).reshape(4)
-        self.joint_limits = _arr(self.joint_limits).reshape(4, 2)
-        self.velocity_limits = _arr(self.velocity_limits).reshape(4)
-        self.acceleration_limits = _arr(self.acceleration_limits).reshape(4)
         check(self, link_lengths="> 0", link_masses="> 0", rotor_inertias=">= 0",
               gravity=">= 0", joint_limits="", velocity_limits="> 0",
               acceleration_limits="> 0")
@@ -212,7 +202,7 @@ def pseudo_inverse(jac: np.ndarray) -> np.ndarray:
     lmid are at most tr, so lmax / lmin <= tr^3 / det, and the factor 10
     covers rounding.  Any other J J^T gets eigvalsh's test and its verdict.
     """
-    jac = _arr(jac)
+    jac = np.asarray(jac, dtype=float)
     jjt = jac @ jac.T
     (a, _, _), (b, d, _), (c, e, f) = jjt.tolist()
     det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
@@ -319,7 +309,7 @@ def contact_force(contact: BeltContact, x: np.ndarray, xdot: np.ndarray) -> np.n
 
 
 def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
-         contact: BeltContact | None = None, dt: float = 1e-4,
+         contact: BeltContact | None, dt: float,
          external_torque: np.ndarray | None = None, t: float = 0.0) -> tuple:
     """One semi-implicit Euler step of M qdd + C qd + g = u + J^T f_e.
 

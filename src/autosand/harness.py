@@ -55,14 +55,14 @@ LOG_COLUMNS = (["t"] + [f"q{i}" for i in range(1, 5)] + [f"qd{i}" for i in range
 class SandingSetup:
     """One closed-loop sanding run of ``config``: regulation to the pose x_d
     and the config's force setpoint f_d against ``contact``, from rest in the
-    joint configuration q0 at t = 0, with the network build_network(config).
+    joint configuration q0 at t = 0, with the network build_network(config),
+    for the config's sanding_duration.
     """
 
     config: PipelineConfig
     contact: dyn.BeltContact | None
     x_d: np.ndarray
     q0: np.ndarray
-    duration: float
     noise_seed: int
     disturbance: object = None      # callable t -> joint torque, or None
     f_d: np.ndarray = field(init=False)
@@ -71,6 +71,10 @@ class SandingSetup:
     def __post_init__(self):
         self.f_d = np.array([self.config.setpoint.force, 0.0, 0.0])
         self.net = build_network(self.config)
+
+    @property
+    def duration(self) -> float:
+        return self.config.sim.sanding_duration
 
 
 @dataclass
@@ -230,13 +234,13 @@ def build_network(config: PipelineConfig) -> ctl.RbfNetwork:
                                           derive_seed(config.sim.seed, 23))
 
 
-def nominal_setup(config: PipelineConfig, duration: float = 10.0) -> SandingSetup:
+def nominal_setup(config: PipelineConfig) -> SandingSetup:
     """Canonical single-contact regulation scenario with the headline setpoints
     (x_d 51.5 mm along the normal, f_d -25 N)."""
     contact = config.contact.belt(0.049)
     q0 = dyn.contact_configuration(config.robot, contact.plane_offset, 0.0, 0.0, 0.6)
     x0 = dyn.forward_kinematics(config.robot, q0)
-    return SandingSetup(config, contact, np.array([0.0515, x0[1], 0.0]), q0, duration,
+    return SandingSetup(config, contact, np.array([0.0515, x0[1], 0.0]), q0,
                         derive_seed(config.sim.seed, 31))
 
 
@@ -390,9 +394,7 @@ def _model_stage(config, scans, angles, out):
 def transit_endpoint(config: PipelineConfig, cell: Workcell, i: int) -> np.ndarray:
     """Joint configuration a transit starts or ends at: task i's approach, or
     the home configuration for i = -1."""
-    if i < 0:
-        return np.asarray(config.pipeline.home, dtype=float)
-    return cell.tasks[i].approach
+    return config.pipeline.home if i < 0 else cell.tasks[i].approach
 
 
 @_stage("plan")
@@ -422,7 +424,6 @@ def _sequence_stage(config, cell, out):
     return result
 
 
-@_stage("plan")
 def _plan_transit(config, cell, i, j):
     """Collision-free path from task i to task j (-1: home), planned once per pair."""
     if (i, j) not in cell.transits:
@@ -459,7 +460,7 @@ def _sand_face(config, cell, task, attempt, out):
     depth = abs(config.setpoint.force) / config.contact.stiffness
     x_d = np.array([contact.plane_offset + depth, 0.0, task.contact[2] + task.contact[3]])
     result = simulate_sanding(SandingSetup(
-        config, contact, x_d, task.contact, config.sim.sanding_duration,
+        config, contact, x_d, task.contact,
         derive_seed(config.sim.seed, 13, task.face_id, attempt)))
     (out / "faces").mkdir(parents=True, exist_ok=True)
     write_csv(out / "faces" / f"face{task.face_id:02d}_attempt{attempt}.csv",

@@ -54,16 +54,13 @@ def factor_rates(inertia, damping, stiffness):
 class ImpedanceSpec:
     """Diagonal desired inertia / damping / stiffness plus the derived rates."""
 
-    inertia: np.ndarray = 1.0
-    damping: np.ndarray = 12.5
-    stiffness: np.ndarray = 11.5
+    inertia: np.ndarray = (1.0, 1.0, 1.0)
+    damping: np.ndarray = (12.5, 12.5, 12.5)
+    stiffness: np.ndarray = (11.5, 11.5, 11.5)
     track_rate: np.ndarray = field(init=False)
     filter_rate: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.inertia = _diag3(self.inertia)
-        self.damping = _diag3(self.damping)
-        self.stiffness = _diag3(self.stiffness)
         check(self, inertia="> 0", damping="> 0", stiffness="> 0")
         self.track_rate, self.filter_rate = factor_rates(
             self.inertia, self.damping, self.stiffness)

@@ -193,7 +193,6 @@ class GaParams:
     weights: np.ndarray = (1.0, 1.0, 0.3, 0.3)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).reshape(4)
         check(self, population_size=">= 2", crossover_prob=">= 0 and <= 1",
               mutation_prob=">= 0 and <= 1", max_generations=">= 1", seed=">= 0",
               weights="> 0")
@@ -219,8 +218,8 @@ class PlannerContext:
 
     model: RobotModel
     payload: ConvexShape
+    params: PlannerConfig
     obstacles: list = field(default_factory=list)  # ConvexShapes in world coordinates
-    params: PlannerConfig = field(default_factory=PlannerConfig)
     seed: int = 0
 
     def payload_pose(self, q: np.ndarray) -> RigidTransform:
@@ -383,7 +382,7 @@ def synchronize_profile(deltas: np.ndarray, v_max: np.ndarray, a_max: np.ndarray
     return total, min(blend, 0.5 * total)
 
 
-def lspb_parameterize(path: Path, v_max, a_max, sample_dt: float = 0.01) -> Trajectory:
+def lspb_parameterize(path: Path, v_max, a_max, sample_dt: float) -> Trajectory:
     """Trapezoidal time parameterization of a waypoint path.
 
     Joints share each segment's duration (time-synchronized); velocity is

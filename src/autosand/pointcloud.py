@@ -78,7 +78,7 @@ class ScannerConfig:
 
     density: float = 2e5
     depth_noise: float = 2e-4
-    view_dir: tuple = (-1.0, 0.0, -0.45)
+    view_dir: np.ndarray = (-1.0, 0.0, -0.45)
     n_views: int = 4
     intensity_base: float = 0.88
     intensity_slope: float = 250.0
@@ -89,7 +89,7 @@ class ScannerConfig:
         check(self, density="> 0", depth_noise=">= 0", view_dir="", n_views=">= 2",
               intensity_base=">= 0 and <= 1", intensity_slope=">= 0", speckle=">= 0",
               field_margin=">= 0")
-        if np.shape(self.view_dir) != (3,) or not np.any(self.view_dir):
+        if not self.view_dir.any():
             raise ValueError("view_dir must be a non-zero 3-vector")
 
 
@@ -129,8 +129,7 @@ def synthetic_scan(mesh: ConvexShape, pose: RigidTransform, scanner: ScannerConf
     Faces whose outward normals point toward the camera are sampled; depth
     noise is added along the viewing ray in the world frame.
     """
-    view_dir = np.asarray(scanner.view_dir, dtype=float)
-    view_dir = view_dir / np.linalg.norm(view_dir)
+    view_dir = scanner.view_dir / np.linalg.norm(scanner.view_dir)
     visible = [i for i in range(len(mesh.faces))
                if (pose.rotation @ mesh.face_normal(i)) @ view_dir < -1e-9]
     if not visible:
@@ -158,7 +157,7 @@ def field_limits_mask(cloud: PointCloud, lower, upper) -> np.ndarray:
     return ((cloud.points >= lower) & (cloud.points <= upper)).all(axis=1)
 
 
-def sor_filter(cloud: PointCloud, k: int = 50, alpha: float = 1.0) -> PointCloud:
+def sor_filter(cloud: PointCloud, k: int, alpha: float) -> PointCloud:
     """Statistical outlier removal.
 
     Points whose mean distance to their k nearest neighbours exceeds the
@@ -212,9 +211,8 @@ class IcpParams:
         check(self, max_iters=">= 1", tol=">= 0", reject_ratio="> 0", max_diverging=">= 1")
 
 
-def icp_register(source: PointCloud, target: PointCloud,
-                 init: RigidTransform | None = None,
-                 params: IcpParams | None = None):
+def icp_register(source: PointCloud, target: PointCloud, params: IcpParams,
+                 init: RigidTransform | None = None):
     """Iterative closest point: returns (transform source->target frame, rms).
 
     Correspondences beyond the gate reject_ratio * median + 1e-300 are
@@ -248,7 +246,6 @@ def icp_register(source: PointCloud, target: PointCloud,
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("both clouds must be non-empty")
-    params = params or IcpParams()
     tf = init or RigidTransform.identity()
     tree = cKDTree(target.points, leafsize=ICP_LEAFSIZE)
     sample = tf.apply(source.points[::max(1, len(source) // 64)])
@@ -284,7 +281,7 @@ def icp_register(source: PointCloud, target: PointCloud,
     return best_tf, best_rms
 
 
-def register_sequence(scans, commanded_angles, params: IcpParams | None = None):
+def register_sequence(scans, commanded_angles, params: IcpParams):
     """Register each scan into the first scan's frame.
 
     The commanded rotation about z between consecutive views seeds the ICP, the
@@ -298,7 +295,7 @@ def register_sequence(scans, commanded_angles, params: IcpParams | None = None):
     transforms = [RigidTransform.identity()]
     for i in range(len(scans) - 1):
         rel_init = RigidTransform.rotation_z(commanded_angles[i] - commanded_angles[i + 1])
-        rel, _ = icp_register(scans[i + 1], scans[i], rel_init, params)
+        rel, _ = icp_register(scans[i + 1], scans[i], params, rel_init)
         transforms.append(transforms[i].compose(rel))
     return transforms
 
@@ -312,18 +309,16 @@ class SorConfig:
         check(self, k=">= 1", alpha="")
 
 
-def merge_scans(scans, commanded_angles, icp: IcpParams | None = None,
-                sor: SorConfig | None = None) -> PointCloud:
+def merge_scans(scans, commanded_angles, icp: IcpParams, sor: SorConfig) -> PointCloud:
     """Fuse rotated views into one model cloud in the first view's frame."""
-    sor = sor or SorConfig()
-    transforms = register_sequence(scans, commanded_angles, params=icp)
+    transforms = register_sequence(scans, commanded_angles, icp)
     pts = np.vstack([tf.apply(s.points) for tf, s in zip(transforms, scans)])
     if all(s.intensity is not None for s in scans):
         inten = np.concatenate([s.intensity for s in scans])
     else:
         inten = None
     merged = PointCloud(pts, inten)
-    return sor_filter(merged, k=sor.k, alpha=sor.alpha)
+    return sor_filter(merged, sor.k, sor.alpha)
 
 
 @dataclass
@@ -339,25 +334,25 @@ class QualityParams:
               min_window_points=">= 3", over_ratio=">= 0", rough_ratio=">= 0")
 
 
-def surface_roughness(cloud: PointCloud, window: float = 0.01,
-                      min_window_points: int = 8) -> float:
+def surface_roughness(cloud: PointCloud, params: QualityParams) -> float:
     """RMS residual of local plane fits over square windows of the surface.
 
-    The cloud is projected into its own principal frame; windows tile the two
-    tangent directions.
+    The cloud is projected into its own principal frame; windows of side
+    params.window tile the two tangent directions, and a window with fewer
+    than params.min_window_points points is left out.
     """
     pts = cloud.points
     center = pts.mean(axis=0)
     _, _, vt = np.linalg.svd(pts - center, full_matrices=False)
     local = (pts - center) @ vt.T  # columns: tangent, tangent, normal
     uv = local[:, :2]
-    cells = np.floor(uv / window).astype(int)
+    cells = np.floor(uv / params.window).astype(int)
     _, inverse = np.unique(cells, axis=0, return_inverse=True)
     sq_sum = 0.0
     count = 0
     for cell in range(inverse.max() + 1):
         sel = local[inverse == cell]
-        if len(sel) < min_window_points:
+        if len(sel) < params.min_window_points:
             continue
         centered = sel - sel.mean(axis=0)
         resid = np.linalg.svd(centered, compute_uv=False)[-1]
@@ -370,21 +365,20 @@ def surface_roughness(cloud: PointCloud, window: float = 0.01,
 
 
 def assess_quality(before: PointCloud, after: PointCloud,
-                   params: QualityParams | None = None) -> QualityReport:
+                   params: QualityParams) -> QualityReport:
     """Compare scans of a face around a sanding pass.
 
     A properly sanded face reflects more (overexposed point count up) and is
     flatter (plane-fit residual down); both move past configurable ratios for
     the pass verdict.
     """
-    params = params or QualityParams()
     for cloud in (before, after):
         if cloud.intensity is None or len(cloud.intensity) == 0:
             raise MissingIntensity("both clouds need per-point intensity")
     over_b = int((before.intensity > params.intensity_threshold).sum())
     over_a = int((after.intensity > params.intensity_threshold).sum())
-    rough_b = surface_roughness(before, params.window, params.min_window_points)
-    rough_a = surface_roughness(after, params.window, params.min_window_points)
+    rough_b = surface_roughness(before, params)
+    rough_a = surface_roughness(after, params)
     passed = over_a >= params.over_ratio * over_b and rough_a <= params.rough_ratio * rough_b
     return QualityReport(over_b, over_a, rough_b, rough_a, bool(passed))
 

@@ -22,6 +22,12 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+def lasting(config, duration):
+    """config with [sim] sanding_duration = duration."""
+    return dataclasses.replace(config, sim=dataclasses.replace(
+        config.sim, sanding_duration=duration))
+
+
 def noise_free(config, **control):
     """config with a noise-free force sensor and the given [control] settings."""
     return dataclasses.replace(config, control=dataclasses.replace(

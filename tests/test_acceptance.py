@@ -18,7 +18,7 @@ from autosand import planner as pl
 from autosand import pointcloud as pc
 from autosand.config import PipelineConfig
 from autosand.geometry import RigidTransform, box
-from conftest import noise_free, random_rotation, sat_box_margin
+from conftest import lasting, noise_free, random_rotation, sat_box_margin
 from test_closed_loop import block_disturbance, free_space_setup
 from test_planner import exhaustive_best, posed, straight_line_instance
 from test_pointcloud import transformed
@@ -36,7 +36,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def nominal_run(config):
-    setup = harness.nominal_setup(noise_free(config), duration=10.0)
+    setup = harness.nominal_setup(lasting(noise_free(config), 10.0))
     start = time.perf_counter()
     result = harness.simulate_sanding(setup)
     result.wall_time = time.perf_counter() - start
@@ -61,7 +61,7 @@ def test_criterion_2_impedance_vector_convergence(config, nominal_run):
     norms = np.linalg.norm(nominal_run.vel_errors, axis=1)
     tail_ok = norms[t >= 0.7 * t[-1]].max() < 1e-2
 
-    frozen_setup = harness.nominal_setup(noise_free(config, learn_rate=0.0), duration=6.0)
+    frozen_setup = harness.nominal_setup(lasting(noise_free(config, learn_rate=0.0), 6.0))
     frozen = harness.simulate_sanding(frozen_setup)
     frozen_larger = frozen.mean_zq_tail > max(nominal_run.mean_zq_tail, 1e-2)
 
@@ -118,7 +118,7 @@ def test_criterion_5_icp_recovery():
                                              view_dir=(-1, -0.3, -0.5)),
                             surface_seed=5, sensor_seed=0)
     truth = RigidTransform.rotation_z(math.radians(10.0), (0.01, 0.02, 0.0))
-    tf, _ = pc.icp_register(src, transformed(src, truth))
+    tf, _ = pc.icp_register(src, transformed(src, truth), pc.IcpParams())
     clean_ok = (np.abs(tf.rotation - truth.rotation).max() < 1e-6
                 and np.abs(tf.translation - truth.translation).max() < 1e-6)
 
@@ -127,7 +127,7 @@ def test_criterion_5_icp_recovery():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         noisy = pc.PointCloud(clean_pts + rng.standard_normal(clean_pts.shape) * 2e-4)
-        tf, _ = pc.icp_register(src, noisy)
+        tf, _ = pc.icp_register(src, noisy, pc.IcpParams())
         worst_t = max(worst_t, np.linalg.norm(tf.translation - truth.translation))
         cos_a = (np.trace(tf.rotation @ truth.rotation.T) - 1.0) / 2.0
         worst_r = max(worst_r, math.degrees(math.acos(min(1.0, max(-1.0, cos_a)))))

@@ -10,7 +10,7 @@ from autosand import controller as ctl
 from autosand import dynamics as dyn
 from autosand import harness
 from autosand.config import PipelineConfig
-from conftest import noise_free
+from conftest import lasting, noise_free
 
 
 def block_disturbance(seed, magnitude=5.0, dwell=0.25):
@@ -34,7 +34,7 @@ def free_space_setup(config, duration=6.0, robust_gain=None, disturbance=None):
     gains = {} if robust_gain is None else {"robust_gain": robust_gain}
     wide = dataclasses.replace(noise_free(config, **gains),
                                robot=dyn.RobotModel(joint_limits=((-5.0, 5.0),) * 4))
-    setup = harness.nominal_setup(wide, duration=duration)
+    setup = harness.nominal_setup(lasting(wide, duration))
     setup.net = harness.build_network(config)   # over the default arm's operating box
     x0 = dyn.forward_kinematics(wide.robot, setup.q0)
     setup.contact = None
@@ -52,7 +52,7 @@ def config():
 @pytest.fixture(scope="module")
 def nominal_run(config):
     """The headline regulation scenario, 10 s, noise-free sensor."""
-    setup = harness.nominal_setup(noise_free(config), duration=10.0)
+    setup = harness.nominal_setup(lasting(noise_free(config), 10.0))
     return harness.simulate_sanding(setup)
 
 
@@ -66,13 +66,13 @@ class TestReferenceTrace:
         The pipeline's noise path is pinned by ``tests/data/pipeline_ref.json``.
         """
         expected = np.load(Path(__file__).parent / "data" / "nominal_1s_log.npy")
-        setup = harness.nominal_setup(noise_free(config), duration=1.0)
+        setup = harness.nominal_setup(lasting(noise_free(config), 1.0))
         result = harness.simulate_sanding(setup)
         np.testing.assert_array_equal(result.log, expected)
 
     def test_run_leaves_setup_unchanged(self, config):
         """The network adapts on a copy, so one setup can be run twice."""
-        setup = harness.nominal_setup(noise_free(config), duration=0.2)
+        setup = harness.nominal_setup(lasting(noise_free(config), 0.2))
         weights = setup.net.weights.copy()
         first = harness.simulate_sanding(setup)
         second = harness.simulate_sanding(setup)
@@ -81,7 +81,7 @@ class TestReferenceTrace:
         assert first.log[-1, -2] > 0.0
 
     def test_non_finite_weight_stops_the_run(self, config):
-        setup = harness.nominal_setup(noise_free(config), duration=0.2)
+        setup = harness.nominal_setup(lasting(noise_free(config), 0.2))
         setup.net.weights[2, 5] = np.nan
         with pytest.raises(dyn.IntegrationDiverged, match="weights"):
             harness.simulate_sanding(setup)
@@ -98,14 +98,14 @@ class TestForceRegulation:
         assert np.abs(f[window] + 25.0).max() < 1.25
 
     def test_with_sensor_noise(self, config):
-        setup = harness.nominal_setup(config, duration=5.0)
+        setup = harness.nominal_setup(lasting(config, 5.0))
         result = harness.simulate_sanding(setup)
         assert abs(result.steady_force - (-25.0)) < 1.25
 
     def test_stiffer_belt_converges_with_same_gains(self, config, nominal_run):
         # ten times stiffer belt pad; damping scales with stiffness as in a
         # hysteretic (loss-factor) contact model
-        setup = harness.nominal_setup(noise_free(config), duration=6.0)
+        setup = harness.nominal_setup(lasting(noise_free(config), 6.0))
         scale = 10.0
         setup.contact = dyn.BeltContact(
             plane_offset=setup.contact.plane_offset,
@@ -130,7 +130,7 @@ class TestImpedanceVectorConvergence:
         assert nominal_run.monitor.settle_time is not None
 
     def test_adaptation_disabled_floor_is_larger(self, config, nominal_run):
-        setup = harness.nominal_setup(noise_free(config, learn_rate=0.0), duration=6.0)
+        setup = harness.nominal_setup(lasting(noise_free(config, learn_rate=0.0), 6.0))
         frozen = harness.simulate_sanding(setup)
         assert frozen.mean_zq_tail > 100 * nominal_run.mean_zq_tail
         assert frozen.mean_zq_tail > 1e-2
@@ -171,7 +171,7 @@ class TestLyapunovDescent:
     def test_short_run_not_evaluated(self, config):
         """A 0.15 s face, as in the short benchmark cells, is shorter than
         the monitor's 0.5 s window: no verdict, and no rise."""
-        setup = harness.nominal_setup(noise_free(config), duration=0.15)
+        setup = harness.nominal_setup(lasting(noise_free(config), 0.15))
         result = harness.simulate_sanding(setup)
         assert result.monitor.passed is None and result.monitor.max_rise is None
         assert len(result.times) == 150 and len(result.monitor.smoothed) == 0
@@ -179,7 +179,7 @@ class TestLyapunovDescent:
     def test_monitor_reads_the_logged_record(self, config):
         """The log is the run's one per-tick record: forces are a view of it,
         and the monitor smooths the v_obs column the CSV carries, bit for bit."""
-        setup = harness.nominal_setup(config, duration=2.0)
+        setup = harness.nominal_setup(lasting(config, 2.0))
         result = harness.simulate_sanding(setup)
         assert np.shares_memory(result.forces, result.log)
         win = round(ctl.WINDOW / config.sim.dt_control)

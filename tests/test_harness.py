@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,11 +17,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autosand import cli, harness
 from autosand import planner as pln
 from autosand import pointcloud as pc
-from autosand.config import PipelineConfig, from_ini, load_config, save_config, to_ini
+from autosand.config import (ContactConfig, PipelineConfig, PipelineOptions, from_ini,
+                             load_config, save_config, to_ini)
+from autosand.dynamics import RobotModel
+from autosand.impedance import ImpedanceSpec
+from autosand.planner import GaParams
+from autosand.pointcloud import ScannerConfig
+from conftest import lasting
 
 PIPELINE_REFERENCE = Path(__file__).parent / "data" / "pipeline_ref.json"
 
@@ -124,10 +132,10 @@ class TestConfigFile:
 
     def test_dt_ratio_checked_when_sanding(self):
         """A section changed after the config was built is checked again when it runs."""
-        cfg = PipelineConfig()
+        cfg = lasting(PipelineConfig(), 0.003)
         cfg.sim.dt_control = 1.5e-4
         with pytest.raises(ValueError, match="integer multiple of dt_physics"):
-            harness.simulate_sanding(harness.nominal_setup(cfg, duration=0.003))
+            harness.simulate_sanding(harness.nominal_setup(cfg))
 
     @pytest.mark.parametrize("duration, ok", [(1e-3, False), (1.4e-3, False),
                                                (1.6e-3, True), (2e-3, True)])
@@ -288,19 +296,27 @@ class TestSandingSetup:
     def test_runs_leave_the_config_unchanged(self, tmp_path):
         config = small_config(**{"object.sides": 3, "sim.sanding_duration": 0.05})
         before = to_ini(config)
-        harness.simulate_sanding(harness.nominal_setup(config, duration=0.05))
+        harness.simulate_sanding(harness.nominal_setup(config))
         cell = harness.build_workcell(config)
         harness._sand_face(config, cell, cell.tasks[0], 0, tmp_path)
         assert to_ini(config) == before
 
     def test_no_setting_is_copied(self):
         """A sanding run reads its settings from its config alone: no field of
-        SandingSetup repeats a field of a config section."""
+        SandingSetup repeats a field of a config section, and its init fields
+        are exactly the config and what a run adds to it.  Its duration is the
+        config's sanding_duration, read through, not a copy."""
         config = PipelineConfig()
         settings = {f.name for section in dataclasses.fields(config)
                     for f in dataclasses.fields(getattr(config, section.name))}
         setup_fields = {f.name for f in dataclasses.fields(harness.SandingSetup)}
         assert sorted(settings & setup_fields) == []
+        assert [f.name for f in dataclasses.fields(harness.SandingSetup) if f.init] == [
+            "config", "contact", "x_d", "q0", "noise_seed", "disturbance"]
+        setup = harness.nominal_setup(lasting(config, 0.25))
+        assert setup.duration == setup.config.sim.sanding_duration == 0.25
+        with pytest.raises(AttributeError):
+            setup.duration = 1.0
 
 
 class TestSandingPhaseEdges:
@@ -308,7 +324,7 @@ class TestSandingPhaseEdges:
     def test_steady_force_of_a_few_ticks(self, duration):
         """A run too short for a tick in its final TAIL_FRACTION takes its
         steady force from the last tick."""
-        setup = harness.nominal_setup(PipelineConfig(), duration=duration)
+        setup = harness.nominal_setup(lasting(PipelineConfig(), duration))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = harness.simulate_sanding(setup)
@@ -750,6 +766,37 @@ class TestConfigFieldsRead:
         assert unread == []
 
 
+class TestSectionDefaults:
+    def test_no_section_parameter_has_a_default(self):
+        """No function parameter or dataclass field in src/autosand that is
+        annotated with a config section class has a default: a layer takes its
+        section, so each setting's default is stated once, in its section.
+        PipelineConfig's own fields, the sections themselves, are exempt."""
+        config = PipelineConfig()
+        sections = {type(getattr(config, f.name)).__name__ for f in dataclasses.fields(config)}
+
+        def names_section(annotation):
+            return any(getattr(node, "id", getattr(node, "attr", None)) in sections
+                       for node in ast.walk(annotation))
+
+        found = []
+        for path in sorted((REPO / "src" / "autosand").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = positional[len(positional) - len(args.defaults):] + [
+                        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
+                    found += [f"{path.stem}.{node.name}({arg.arg})" for arg in defaulted
+                              if arg.annotation is not None and names_section(arg.annotation)]
+                elif isinstance(node, ast.ClassDef) and node.name != "PipelineConfig":
+                    found += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                              if isinstance(item, ast.AnnAssign) and item.value is not None
+                              and names_section(item.annotation)]
+        assert found == []
+
+
 # Fields whose domain is a relation to another value rather than a bound of
 # their own, each with one value outside it.
 RELATIONS = {
@@ -859,6 +906,110 @@ class TestConfigDomains:
         for config in configs:
             text = to_ini(config)
             assert to_ini(from_ini(text)) == text
+
+
+# Every setting whose default is a tuple: the settings held as arrays.
+ARRAY_SETTINGS = [(section, key) for section, key, default, _ in section_fields()
+                  if isinstance(default, np.ndarray)]
+
+
+def decimals(n, low, high):
+    """n floats in [low, high] of at most 12 significant digits, which to_ini
+    writes exactly."""
+    return st.lists(st.floats(low, high).map(lambda v: float(f"{v:.12g}")),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def array_configs(draw):
+    """A PipelineConfig with random in-domain values of every array setting."""
+    low, high = draw(decimals(4, -10.0, -1.0)), draw(decimals(4, 1.0, 10.0))
+    inertia, stiffness = draw(decimals(3, 0.1, 10.0)), draw(decimals(3, 0.1, 50.0))
+    # damping above 2 sqrt(inertia stiffness): real roots, as ImpedanceSpec needs
+    damping = [float(f"{r * 2.0 * math.sqrt(m * k):.12g}")
+               for r, m, k in zip(draw(decimals(3, 1.01, 4.0)), inertia, stiffness)]
+    return PipelineConfig(
+        robot=RobotModel(link_lengths=draw(decimals(2, 0.01, 1.0)),
+                         link_masses=draw(decimals(4, 0.01, 10.0)),
+                         rotor_inertias=draw(decimals(4, 0.0, 2.0)),
+                         joint_limits=list(zip(low, high)),
+                         velocity_limits=draw(decimals(4, 0.01, 5.0)),
+                         acceleration_limits=draw(decimals(4, 0.01, 20.0))),
+        impedance=ImpedanceSpec(inertia, damping, stiffness),
+        contact=ContactConfig(belt_size=draw(decimals(3, 0.01, 1.0))),
+        scanner=ScannerConfig(view_dir=draw(decimals(3, -2.0, 2.0).filter(any))),
+        ga=GaParams(weights=draw(decimals(4, 0.01, 5.0))),
+        pipeline=PipelineOptions(home=draw(decimals(4, -0.9, 0.9))))
+
+
+def assert_read_only_arrays(config):
+    """Every array setting of config is a read-only float64 array of its
+    default's shape, and writing into it raises ValueError."""
+    for section, key in ARRAY_SETTINGS:
+        sub = getattr(config, section)
+        default = next(f.default for f in dataclasses.fields(sub) if f.name == key)
+        value = getattr(sub, key)
+        assert type(value) is np.ndarray and value.dtype == np.float64, (section, key)
+        assert value.shape == np.shape(default), (section, key)
+        with pytest.raises(ValueError, match="read-only"):
+            value[(0,) * value.ndim] = 1.0
+
+
+class TestArraySettings:
+    def test_default_and_loaded_arrays_are_read_only(self):
+        """Built or loaded, none of the 13 array settings can be changed in
+        place, so the planner's joint limits and the plant's hoisted ones
+        cannot part."""
+        assert len(ARRAY_SETTINGS) == 13
+        for config in (PipelineConfig(), load_config(REPO / "configs" / "default.ini")):
+            assert_read_only_arrays(config)
+            with pytest.raises(ValueError, match="read-only"):
+                config.robot.joint_limits[0, 1] = -5.0
+            assert config.robot.limits[0] == config.robot.joint_limits[0].tolist()
+
+    def test_callers_array_is_copied(self):
+        limits = np.array(((-2.0, 2.0),) * 4)
+        model = RobotModel(joint_limits=limits)
+        limits[0, 1] = 5.0
+        assert model.joint_limits[0, 1] == 2.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(array_configs())
+    def test_ini_round_trip(self, config):
+        """Random in-domain array settings come back from to_ini and from_ini
+        as equal read-only arrays of their default's shape."""
+        back = from_ini(to_ini(config))
+        assert_read_only_arrays(config)
+        assert_read_only_arrays(back)
+        for section, key in ARRAY_SETTINGS:
+            assert np.array_equal(getattr(getattr(back, section), key),
+                                  getattr(getattr(config, section), key)), (section, key)
+
+    @pytest.mark.parametrize("section, key", ARRAY_SETTINGS)
+    def test_other_shapes_rejected_when_built(self, section, key):
+        """No broadcasting or reshaping: one entry short, one too many, a
+        scalar and the flat entries of a matrix are all rejected."""
+        sub = getattr(PipelineConfig(), section)
+        flat = getattr(sub, key).ravel()
+        shape = getattr(sub, key).shape
+        values = [flat[:-1], np.append(flat, 1.0), flat[0]] + ([flat] if len(shape) > 1 else [])
+        for value in values:
+            with pytest.raises(ValueError, match=f"^{key} must have shape {re.escape(str(shape))}"):
+                type(sub)(**{key: value})
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("section, key", ARRAY_SETTINGS)
+    def test_wrong_entry_count_exit_code(self, tmp_path, capsys, section, key, extra):
+        """An INI vector one entry short or one too long exits 1 with one
+        error line that names [section] key, and writes nothing."""
+        flat = getattr(getattr(PipelineConfig(), section), key).ravel()
+        entries = np.resize(flat, flat.size + extra).tolist()
+        path, out = tmp_path / "bad.ini", tmp_path / "run"
+        path.write_text(f"[{section}]\n{key} = {', '.join(map(str, entries))}\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: [{section}] {key}: "), err
+        assert not out.exists()
 
 
 class TestBenchReference:
@@ -991,8 +1142,7 @@ class TestBenchTracer:
         tracer = spans.Tracer("tier1")
         tracer.install()
         try:
-            harness.simulate_sanding(harness.nominal_setup(PipelineConfig(),
-                                                           duration=0.01))
+            harness.simulate_sanding(harness.nominal_setup(lasting(PipelineConfig(), 0.01)))
         finally:
             tracer.uninstall()
         layers = spans.summarize(tracer)

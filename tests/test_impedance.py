@@ -48,9 +48,9 @@ class TestImpedanceSpec:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            imp.ImpedanceSpec(inertia=0.0)
+            imp.ImpedanceSpec(inertia=(1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
-            imp.ImpedanceSpec(stiffness=-1.0)
+            imp.ImpedanceSpec(stiffness=(-1.0, 11.5, 11.5))
 
 
 class TestForceFilter:
@@ -62,14 +62,14 @@ class TestForceFilter:
         assert state == pytest.approx(np.zeros(3))
 
     def test_dc_gain(self):
-        spec = imp.ImpedanceSpec(1.0, 2.0, 1.0)  # filter rate 1, inertia 1
+        spec = imp.ImpedanceSpec((1.0,) * 3, (2.0,) * 3, (1.0,) * 3)  # filter rate 1, inertia 1
         state = np.zeros(3)
         for _ in range(20000):
             state = imp.filter_force_step(state, np.array([2.0, 0, 0]), spec, 1e-3)
         assert state == pytest.approx([2.0, 0.0, 0.0], abs=1e-6)
 
     def test_single_step_closed_form(self):
-        spec = imp.ImpedanceSpec(1.0, 2.0, 1.0)
+        spec = imp.ImpedanceSpec((1.0,) * 3, (2.0,) * 3, (1.0,) * 3)
         state = imp.filter_force_step(np.zeros(3),
                                       np.array([1.0, 0, 0]), spec, 0.1)
         assert state[0] == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)

@@ -75,7 +75,7 @@ class TestGjk:
 def planner_context(obstacles, seed=5, payload_half=0.04):
     model = RobotModel()
     payload = box((2 * payload_half,) * 3)
-    return pl.PlannerContext(model, payload, list(obstacles), seed=seed)
+    return pl.PlannerContext(model, payload, pl.PlannerConfig(), list(obstacles), seed=seed)
 
 
 class TestPlanSingleQuery:
@@ -166,7 +166,7 @@ class TestBroadPhase:
         """Obstacles are given in world coordinates: a wall posed before the
         context is built is checked where it stands."""
         wall = box((0.1, 0.1, 0.1))
-        ctx = pl.PlannerContext(RobotModel(), box((0.02,) * 3),
+        ctx = pl.PlannerContext(RobotModel(), box((0.02,) * 3), pl.PlannerConfig(),
                                 [posed(wall, RigidTransform.planar(0.5, 0.0, 0.3))])
         qs = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.4, 0.0, 0.0]])
         assert ctx.broad_phase(qs).tolist() == [True, False]
@@ -233,7 +233,7 @@ class TestLspb:
     def test_rejects_bad_limits(self):
         path = pl.Path([np.zeros(4), np.ones(4)])
         with pytest.raises(ValueError):
-            pl.lspb_parameterize(path, 0.0, 1.0)
+            pl.lspb_parameterize(path, 0.0, 1.0, 0.01)
 
 
 class TestPathCost:

@@ -271,7 +271,7 @@ class TestSorFilter:
         cloud = pc.PointCloud(rng.standard_normal((20_000, 3)))
         tracemalloc.start()
         try:
-            pc.sor_filter(cloud, k=k)
+            pc.sor_filter(cloud, k=k, alpha=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -279,15 +279,15 @@ class TestSorFilter:
 
     def test_too_few_points(self):
         with pytest.raises(pc.TooFewPoints):
-            pc.sor_filter(pc.PointCloud(np.zeros((5, 3))), k=10)
+            pc.sor_filter(pc.PointCloud(np.zeros((5, 3))), k=10, alpha=1.0)
         with pytest.raises(ValueError):
-            pc.sor_filter(pc.PointCloud(np.zeros((5, 3))), k=0)
+            pc.sor_filter(pc.PointCloud(np.zeros((5, 3))), k=0, alpha=1.0)
 
 
 class TestIcp:
     def test_self_registration(self):
         cloud = scan(geo.box((0.2, 0.2, 0.2)), noise=2e-4, sensor_seed=5)
-        tf, rms = pc.icp_register(cloud, cloud)
+        tf, rms = pc.icp_register(cloud, cloud, pc.IcpParams())
         assert np.abs(tf.rotation - np.eye(3)).max() < 1e-12
         assert np.abs(tf.translation).max() < 1e-12
         assert rms < 1e-12
@@ -296,7 +296,7 @@ class TestIcp:
         src = scan(geo.box((0.2, 0.2, 0.2)))
         truth = geo.RigidTransform.rotation_z(math.radians(10.0), (0.01, 0.02, 0.0))
         tgt = transformed(src, truth)
-        tf, _ = pc.icp_register(src, tgt)
+        tf, _ = pc.icp_register(src, tgt, pc.IcpParams())
         assert np.abs(tf.rotation - truth.rotation).max() < 1e-6
         assert np.abs(tf.translation - truth.translation).max() < 1e-6
 
@@ -307,7 +307,7 @@ class TestIcp:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             tgt = pc.PointCloud(clean + rng.standard_normal(clean.shape) * 2e-4)
-            tf, _ = pc.icp_register(src, tgt)
+            tf, _ = pc.icp_register(src, tgt, pc.IcpParams())
             t_err = np.linalg.norm(tf.translation - truth.translation)
             cos_a = (np.trace(tf.rotation @ truth.rotation.T) - 1.0) / 2.0
             rot_err = math.degrees(math.acos(min(1.0, max(-1.0, cos_a))))
@@ -317,7 +317,7 @@ class TestIcp:
     def test_empty_cloud_rejected(self):
         cloud = scan(geo.box((0.2, 0.2, 0.2)))
         with pytest.raises(ValueError):
-            pc.icp_register(pc.PointCloud(np.zeros((0, 3))), cloud)
+            pc.icp_register(pc.PointCloud(np.zeros((0, 3))), cloud, pc.IcpParams())
 
     def test_divergence_guard(self, monkeypatch):
         # a fit that pushes the source further away every call must trip the guard
@@ -340,14 +340,13 @@ class TestIcp:
         init = geo.RigidTransform.rotation_z(0.18, (0.015, 0.005, 0.0))
         from scipy.spatial import cKDTree
         init_rms = np.sqrt((cKDTree(tgt.points).query(init.apply(src.points))[0] ** 2).mean())
-        _, rms = pc.icp_register(src, tgt, init)
+        _, rms = pc.icp_register(src, tgt, pc.IcpParams(), init)
         assert rms <= init_rms + 1e-15
 
 
-def unbounded_icp(source, target, init=None, params=None):
+def unbounded_icp(source, target, params, init=None):
     """icp_register with an unbounded neighbour search in every iteration:
     the reference whose (tf, rms) the bounded search must equal bit for bit."""
-    params = params or pc.IcpParams()
     tf = init or geo.RigidTransform.identity()
     tree = cKDTree(target.points)
     best_tf, best_rms = tf, np.inf
@@ -377,11 +376,12 @@ def unbounded_icp(source, target, init=None, params=None):
 
 
 def assert_same_registration(source, target, init=None, params=None):
-    """icp_register and unbounded_icp return the same bits, or both diverge."""
+    """icp_register and unbounded_icp return the same bits, or both diverge;
+    params defaults to the [icp] section's defaults."""
     outcomes = []
     for icp in (pc.icp_register, unbounded_icp):
         try:
-            tf, rms = icp(source, target, init, params)
+            tf, rms = icp(source, target, params or pc.IcpParams(), init)
         except pc.Diverged as err:
             outcomes.append(str(err))
         else:
@@ -429,7 +429,7 @@ class TestBoundedIcp:
 
     def test_search_is_bounded_after_the_sample(self, dense_pair, tree_queries):
         source, target, init = dense_pair
-        pc.icp_register(source, target, init)
+        pc.icp_register(source, target, pc.IcpParams(), init)
         (n_sample, first_bound), *rest = tree_queries
         assert 64 <= n_sample < 128 and first_bound == np.inf
         assert rest and all(np.isfinite(bound) for _, bound in rest)
@@ -544,7 +544,7 @@ class TestMergeScans:
     def test_cube_four_views(self):
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=2e-4)
-        merged = pc.merge_scans(scans, angles)
+        merged = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
         dist = point_mesh_distance(merged.points, cube)
         assert np.sqrt((dist ** 2).mean()) < 1e-3
         # every lateral face is represented in the merged model
@@ -557,7 +557,7 @@ class TestMergeScans:
     def test_noise_free_transforms_exact(self):
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=0.0)
-        transforms = pc.register_sequence(scans, angles)
+        transforms = pc.register_sequence(scans, angles, pc.IcpParams())
         for tf, a in zip(transforms, angles):
             expected = geo.RigidTransform.rotation_z(angles[0] - a)
             assert np.abs(tf.rotation - expected.rotation).max() < 1e-6
@@ -566,7 +566,7 @@ class TestMergeScans:
     def test_threads_and_blocks_change_nothing(self, monkeypatch):
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=2e-4)
-        merged = pc.merge_scans(scans, angles)
+        merged = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
         n_points = sum(len(s) for s in scans)
         k = pc.SorConfig().k
         assert n_points > sor_rows(k)
@@ -577,7 +577,7 @@ class TestMergeScans:
 
         monkeypatch.setattr(pc, "cKDTree", SingleThreadTree)
         monkeypatch.setattr(pc, "SOR_ENTRIES", n_points * (k + 1))   # one block
-        single = pc.merge_scans(scans, angles)
+        single = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
         assert merged.points.tobytes() == single.points.tobytes()
         assert merged.intensity.tobytes() == single.intensity.tobytes()
 
@@ -585,13 +585,13 @@ class TestMergeScans:
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=0.0)
         with pytest.raises(ValueError):
-            pc.merge_scans(scans[:1], angles[:1])
+            pc.merge_scans(scans[:1], angles[:1], pc.IcpParams(), pc.SorConfig())
 
     def test_merge_rms_below_noise_multiple(self):
         mesh = geo.prism(np.full(9, 0.06), 0.08)
         sigma = 2e-4
         scans, angles = self.make_scans(mesh, 4, noise=sigma)
-        merged = pc.merge_scans(scans, angles)
+        merged = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
         dist = point_mesh_distance(merged.points, mesh)
         assert np.sqrt((dist ** 2).mean()) < 5 * sigma
 
@@ -622,7 +622,7 @@ class TestQuality:
 
     def test_identical_clouds_fail(self, rng):
         cloud = self.plane_cloud(rng, 2000, 4e-4, 10)
-        report = pc.assess_quality(cloud, cloud)
+        report = pc.assess_quality(cloud, cloud, pc.QualityParams())
         assert not report.passed
         assert report.overexposure_before == report.overexposure_after == 10
         assert report.roughness_before == pytest.approx(report.roughness_after)
@@ -632,7 +632,7 @@ class TestQuality:
         after = pc.PointCloud(before.points * [1.0, 1.0, 0.5],
                               before.intensity.copy())
         after.intensity[10:20] = 0.95  # doubles the overexposed count
-        report = pc.assess_quality(before, after)
+        report = pc.assess_quality(before, after, pc.QualityParams())
         assert report.passed
         assert report.overexposure_after == 2 * report.overexposure_before
         assert report.roughness_after == pytest.approx(
@@ -642,13 +642,13 @@ class TestQuality:
         plain = pc.PointCloud(rng.standard_normal((100, 3)))
         withi = self.plane_cloud(rng, 100, 1e-4, 0)
         with pytest.raises(pc.MissingIntensity):
-            pc.assess_quality(plain, withi)
+            pc.assess_quality(plain, withi, pc.QualityParams())
 
     def test_roughness_tracks_surface_texture(self, rng):
         rough = self.plane_cloud(rng, 2000, 5e-4, 0)
         smooth = self.plane_cloud(rng, 2000, 1e-4, 0)
-        r1 = pc.surface_roughness(rough)
-        r2 = pc.surface_roughness(smooth)
+        r1 = pc.surface_roughness(rough, pc.QualityParams())
+        r2 = pc.surface_roughness(smooth, pc.QualityParams())
         assert r1 == pytest.approx(5e-4, rel=0.15)
         assert r2 == pytest.approx(1e-4, rel=0.15)
 
