@@ -11,8 +11,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from autosand import harness
 from autosand.config import PipelineConfig
 

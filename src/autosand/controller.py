@@ -26,29 +26,27 @@ class RbfNetwork:
     """Gaussian radial-basis network over the 16-dim controller input.
 
     weights holds one output row per joint and starts at zero; every basis
-    function has the same width, and every weight the same adaptation gain.
+    function has the same width.  Every weight adapts at the one rate
+    ControlConfig.learn_rate (see weight_update).
     """
 
     centers: np.ndarray
     width: float
-    learn_rate: float
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=float)
         self.weights = np.zeros((4, len(self.centers)))
-        check(self, width="> 0", learn_rate=">= 0")
+        check(self, width="> 0")
 
     @classmethod
-    def latin_hypercube(cls, low, high, control: ControlConfig, seed: int) -> "RbfNetwork":
+    def latin_hypercube(cls, low: np.ndarray, high: np.ndarray, control: ControlConfig,
+                        seed: int) -> "RbfNetwork":
         """Spread centers over the operating box by Latin-hypercube sampling.
 
         The width is the median inter-center distance, which keeps every
         basis function active somewhere in the box.
         """
         n_centers = control.n_centers
-        low = np.asarray(low, dtype=float)
-        high = np.asarray(high, dtype=float)
         d = len(low)
         rng = np.random.default_rng(seed)
         u = (rng.permuted(np.tile(np.arange(n_centers), (d, 1)), axis=1).T
@@ -57,7 +55,7 @@ class RbfNetwork:
         diff = centers[:, None, :] - centers[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
         width = np.median(dist[np.triu_indices(n_centers, 1)])
-        return cls(centers, float(width), control.learn_rate)
+        return cls(centers, float(width))
 
 
 @dataclass
@@ -80,14 +78,12 @@ class ControlConfig:
 def reference_velocity(j_pinv: np.ndarray, xd_dot: np.ndarray, pos_error: np.ndarray,
                        filt: np.ndarray, spec: ImpedanceSpec) -> np.ndarray:
     """Joint reference velocity: pseudo-inverse image of the corrected task rate."""
-    return j_pinv @ (np.asarray(xd_dot, dtype=float)
-                     - spec.track_rate * np.asarray(pos_error, dtype=float)
-                     + filt)
+    return j_pinv @ (xd_dot - spec.track_rate * pos_error + filt)
 
 
 def velocity_error(qdot: np.ndarray, qdot_ref: np.ndarray) -> np.ndarray:
     """Joint-space impedance error: deviation from the reference velocity."""
-    return np.asarray(qdot, dtype=float) - np.asarray(qdot_ref, dtype=float)
+    return qdot - qdot_ref
 
 
 def rbf_activation(net: RbfNetwork, q, qdot, qdot_ref, qddot_ref) -> np.ndarray:
@@ -112,24 +108,23 @@ def control_law(gains: ControlConfig, net: RbfNetwork, vel_err: np.ndarray,
     Feedback on the velocity error, the network's feedforward estimate, a
     robust switching term, and cancellation of the measured interaction torque.
     """
-    vel_err = np.asarray(vel_err, dtype=float)
     return (-gains.vel_gain * vel_err
             + net.weights @ theta
             - gains.robust_gain * _switch(vel_err, gains.boundary)
-            - np.asarray(tau_ext, dtype=float))
+            - tau_ext)
 
 
-def weight_update(net: RbfNetwork, theta: np.ndarray, vel_err: np.ndarray,
-                  dt: float) -> None:
-    """Explicit Euler step of the row-wise adaptation law, in place on net.weights.
+def weight_update(gains: ControlConfig, net: RbfNetwork, theta: np.ndarray,
+                  vel_err: np.ndarray, dt: float) -> None:
+    """Explicit Euler step of the row-wise adaptation law at gains.learn_rate,
+    in place on net.weights.
 
     Row j moves against theta scaled by its own error component only, so
     adaptation stops exactly when the error vanishes.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    vel_err = np.asarray(vel_err, dtype=float)
-    net.weights -= dt * (net.learn_rate * theta)[None, :] * vel_err[:, None]
+    net.weights -= dt * (gains.learn_rate * theta)[None, :] * vel_err[:, None]
 
 
 # The descent monitor's moving-average window [s], the |zq| below which a run
@@ -162,11 +157,9 @@ def lyapunov_monitor(times, vel_errors, v_obs) -> DescentReport:
     not evaluated: ``passed`` and ``max_rise`` are None.
     Also reports the first time |z| settles below SETTLE_THRESHOLD for good.
     """
-    times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise InsufficientData("need at least two samples")
-    zq = np.asarray(vel_errors, dtype=float).reshape(len(times), -1)
-    norms = np.linalg.norm(zq, axis=1)
+    norms = np.linalg.norm(vel_errors, axis=1)
     below = norms < SETTLE_THRESHOLD
     settle_time = None
     if below[-1]:

@@ -66,11 +66,6 @@ class JointLimitViolation(Exception):
     """A joint moved outside its configured range (reported, never clamped)."""
 
 
-def _floats(v) -> list:
-    """The entries of a vector, given as an array or a sequence, as Python numbers."""
-    return v.tolist() if isinstance(v, np.ndarray) else [float(x) for x in v]
-
-
 @dataclass
 class RobotModel:
     """Kinematic and dynamic description of the arm.
@@ -167,7 +162,7 @@ def _mass(model: RobotModel, m13: float, m14: float, m23: float, m24: float,
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Task-space position (px, py, phi) of the end effector."""
-    q0, q1, th1, th2 = _floats(q)
+    q0, q1, th1, th2 = q.tolist()
     phi = th1 + th2
     px, py, *_ = _kinematics(model, q0, q1, math.sin(th1), math.cos(th1),
                              math.sin(phi), math.cos(phi))
@@ -176,7 +171,7 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
 
 def jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Analytic 3x4 task Jacobian at q."""
-    _, _, th1, th2 = _floats(q)
+    _, _, th1, th2 = q.tolist()
     phi = th1 + th2
     _, _, *entries = _kinematics(model, 0.0, 0.0, math.sin(th1), math.cos(th1),
                                  math.sin(phi), math.cos(phi))
@@ -202,7 +197,6 @@ def pseudo_inverse(jac: np.ndarray) -> np.ndarray:
     lmid are at most tr, so lmax / lmin <= tr^3 / det, and the factor 10
     covers rounding.  Any other J J^T gets eigvalsh's test and its verdict.
     """
-    jac = np.asarray(jac, dtype=float)
     jjt = jac @ jac.T
     (a, _, _), (b, d, _), (c, e, f) = jjt.tolist()
     det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
@@ -279,9 +273,9 @@ def dynamics_terms(model: RobotModel, q, qdot) -> tuple:
             g * 0.0, model.gm234, g * m23, g * m24)
 
 
-def dynamics_matrices(model: RobotModel, q, qdot) -> tuple:
+def dynamics_matrices(model: RobotModel, q: np.ndarray, qdot: np.ndarray) -> tuple:
     """(M, C, g) at (q, qdot) as arrays, built from dynamics_terms."""
-    terms = dynamics_terms(model, _floats(q), _floats(qdot))
+    terms = dynamics_terms(model, q.tolist(), qdot.tolist())
     cor = np.zeros(16)
     cor[[2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14]] = terms[10:21]
     return _mass(model, *terms[4:10]), cor.reshape(4, 4), np.array(terms[21:])
@@ -290,9 +284,9 @@ def dynamics_matrices(model: RobotModel, q, qdot) -> tuple:
 def task_terms(model: RobotModel, q: np.ndarray, qdot: np.ndarray) -> tuple:
     """(x, J, M) at (q, qdot): the task pose, the task Jacobian and the mass
     matrix, from one dynamics_terms call."""
-    qf = _floats(q)
+    qf = q.tolist()
     s1, c1, s12, c12, m13, m14, m23, m24, m33, m34, *_ = \
-        dynamics_terms(model, qf, _floats(qdot))
+        dynamics_terms(model, qf, qdot.tolist())
     px, py, j02, j03, j12, j13 = _kinematics(model, qf[0], qf[1], s1, c1, s12, c12)
     return (np.array([px, py, qf[2] + qf[3]]), _jacobian(j02, j03, j12, j13),
             _mass(model, m13, m14, m23, m24, m33, m34))
@@ -327,13 +321,13 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}], got {dt}")
-    q0, q1, th1, th2 = q = _floats(q)
-    qd0, qd1, qd2, qd3 = qdot = _floats(qdot)
+    q0, q1, th1, th2 = q = q.tolist()
+    qd0, qd1, qd2, qd3 = qdot = qdot.tolist()
     (s1, c1, s12, c12, m13, m14, m23, m24, m33, m34,
      C02, C03, C12, C13, C20, C21, C22, C23, C30, C31, C32,
      g0, g1, g2, g3) = dynamics_terms(model, q, qdot)
     z0, z1, z3 = 0.0 * qd0, 0.0 * qd1, 0.0 * qd3
-    u0, u1, u2, u3 = _floats(u)
+    u0, u1, u2, u3 = u.tolist()
     # u - C qdot - g, with C qdot summed as numpy's matvec sums it
     tau = [u0 - (((z0 + C02 * qd2) + (z1 + C03 * qd3)) + 0.0) - g0,
            u1 - (((z0 + C12 * qd2) + (z1 + C13 * qd3)) + 0.0) - g1,
@@ -350,7 +344,7 @@ def step(model: RobotModel, q: np.ndarray, qdot: np.ndarray, u: np.ndarray,
                 _jacobian(j02, j03, j12, j13)).tolist()
             tau = [tau[0] + jf0, tau[1] + jf1, tau[2] + jf2, tau[3] + jf3]
     if external_torque is not None:
-        e0, e1, e2, e3 = _floats(external_torque)
+        e0, e1, e2, e3 = external_torque.tolist()
         tau = [tau[0] + e0, tau[1] + e1, tau[2] + e2, tau[3] + e3]
     # M is symmetric: its transpose is M in LAPACK's Fortran order, which
     # dgesv may factor in place (overwrite_a = 1, passed by position: faster)

@@ -42,10 +42,8 @@ class RigidTransform:
         return cls.rotation_z(angle, (x, y, 0.0))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return self.rotation @ pts + self.translation
-        return pts @ self.rotation.T + self.translation
+        """The (n, 3) array of the transformed rows of points."""
+        return points @ self.rotation.T + self.translation
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Transform equal to applying ``other`` first, then ``self``."""
@@ -129,13 +127,12 @@ def box(extents, center=(0.0, 0.0, 0.0)) -> ConvexShape:
     return ConvexShape(verts, faces)
 
 
-def prism(radii, height: float) -> ConvexShape:
+def prism(radii: np.ndarray, height: float) -> ConvexShape:
     """Convex prism along z from a star-shaped polygon given by vertex radii.
 
     Vertex k of the cross-section sits at angle 2*pi*k/n.  With n radii this
     yields n lateral faces plus two caps.
     """
-    radii = np.asarray(radii, dtype=float)
     n = len(radii)
     if n < 3:
         raise ValueError("need at least 3 radii")

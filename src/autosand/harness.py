@@ -107,7 +107,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
     n_ctrl = int(round(setup.duration / dt_control))
     rng = np.random.default_rng(setup.noise_seed)
 
-    q = np.array(setup.q0, dtype=float)
+    q = setup.q0
     qdot = np.zeros(4)
     t = 0.0
     net = copy.deepcopy(setup.net)
@@ -134,7 +134,7 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         zq = ctl.velocity_error(qdot, qdr)
         theta = ctl.rbf_activation(net, q, qdot, qdr, qddr)
         u = ctl.control_law(gains, net, zq, theta, jac.T @ f_meas)
-        ctl.weight_update(net, theta, zq, dt_control)
+        ctl.weight_update(gains, net, theta, zq, dt_control)
         w = net.weights.ravel()
         w_norm = math.sqrt(w.dot(w))        # np.linalg.norm's sum and root
         if not np.isfinite(w_norm):
@@ -167,8 +167,9 @@ def simulate_sanding(setup: SandingSetup) -> SandingResult:
         monitor=monitor)
 
 
-def write_csv(path, columns, rows) -> None:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+def write_csv(path, columns, rows: np.ndarray) -> None:
+    """A header line of the column names, then one line per row of the 2-D
+    float array rows."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         pc.write_rows(fh, [rows], "%.10g", ",")
@@ -247,7 +248,10 @@ def nominal_setup(config: PipelineConfig) -> SandingSetup:
 # --- scanning helpers ------------------------------------------------------------
 
 def field_bounds(config: PipelineConfig):
-    r = config.object.mean_radius + config.object.radius_variation \
+    """The field filter's box: the object's widest radius, which the radii
+    reach on either sign of radius_variation, and its height, each widened
+    by the scanner's field_margin."""
+    r = config.object.mean_radius + abs(config.object.radius_variation) \
         + config.scanner.field_margin
     h = config.object.height / 2.0 + config.scanner.field_margin
     return np.array([-r, -r, -h]), np.array([r, r, h])
@@ -313,15 +317,7 @@ class RunReport:
     error_class: str | None = None  # module.Class of the failed stage's cause
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return json.dumps(asdict(self), indent=2)
 
 
 # --- the pipeline ----------------------------------------------------------------

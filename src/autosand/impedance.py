@@ -24,23 +24,14 @@ class ComplexRoots(ValueError):
     """The requested impedance target is under-damped and cannot be factored."""
 
 
-def _diag3(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(3, float(arr))
-    return arr.reshape(3)
-
-
-def factor_rates(inertia, damping, stiffness):
-    """Split the per-axis second-order target into (track_rate, filter_rate).
+def factor_rates(inertia: np.ndarray, damping: np.ndarray, stiffness: np.ndarray):
+    """Split the per-axis second-order target, given as three 3-vectors, into
+    (track_rate, filter_rate).
 
     The rates are the two real roots of s^2 - (C/M) s + (K/M) = 0 with
     track_rate taking the larger root.  Raises ComplexRoots on a negative
     discriminant (under-damped target).
     """
-    inertia = _diag3(inertia)
-    damping = _diag3(damping)
-    stiffness = _diag3(stiffness)
     p = damping / inertia
     r = stiffness / inertia
     disc = p * p - 4.0 * r
@@ -78,10 +69,10 @@ def filter_force_step(filt: np.ndarray, force_error: np.ndarray,
         raise ValueError("dt must be positive")
     decay = np.exp(-spec.filter_rate * dt)
     gain = (1.0 - decay) / (spec.filter_rate * spec.inertia)
-    return decay * filt + gain * _diag3(force_error)
+    return decay * filt + gain * force_error
 
 
 def impedance_error(pos_error: np.ndarray, vel_error: np.ndarray,
                     spec: ImpedanceSpec, filt: np.ndarray) -> np.ndarray:
     """Composite task-space impedance error z."""
-    return _diag3(vel_error) + spec.track_rate * _diag3(pos_error) - filt
+    return vel_error + spec.track_rate * pos_error - filt

@@ -118,15 +118,14 @@ def _nearest_simplex(simplex: list, d: np.ndarray):
     return False, d
 
 
-def gjk_intersects(a: ConvexShape, b: ConvexShape,
-                   pose_a: RigidTransform | None = None) -> bool:
+def gjk_intersects(a: ConvexShape, b: ConvexShape, pose_a: RigidTransform) -> bool:
     """True iff shape a, posed by pose_a, shares a point with shape b.
 
     Terminates within GJK_MAX_ITERS simplex refinements; hitting the cap is
     reported and treated as intersecting (the conservative answer for a
     collision checker).
     """
-    va = pose_a.apply(a.vertices) if pose_a else a.vertices
+    va = pose_a.apply(a.vertices)
     vb = b.vertices
     d = va.mean(axis=0) - vb.mean(axis=0)
     if np.linalg.norm(d) < GJK_TOL:
@@ -153,10 +152,7 @@ def gjk_intersects(a: ConvexShape, b: ConvexShape,
 
 @dataclass
 class Path:
-    waypoints: list
-
-    def __post_init__(self):
-        self.waypoints = [np.asarray(w, dtype=float).reshape(4) for w in self.waypoints]
+    waypoints: list                 # joint configurations, float64 arrays of shape (4,)
 
 
 @dataclass
@@ -177,10 +173,6 @@ class SandingTask:
     face_id: int
     approach: np.ndarray
     contact: np.ndarray
-
-    def __post_init__(self):
-        self.approach = np.asarray(self.approach, dtype=float).reshape(4)
-        self.contact = np.asarray(self.contact, dtype=float).reshape(4)
 
 
 @dataclass
@@ -283,7 +275,8 @@ def _batch_forward_kinematics(model: RobotModel, qs: np.ndarray) -> np.ndarray:
                      phi], axis=1)
 
 
-def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
+def plan_single_query(ctx: PlannerContext, q_start: np.ndarray,
+                      q_goal: np.ndarray) -> Path:
     """Straight-segment planner with rule-based retreat repair.
 
     Colliding segments are split at a via-point pushed away from the belt
@@ -292,8 +285,6 @@ def plan_single_query(ctx: PlannerContext, q_start, q_goal) -> Path:
     max_rule_repairs recursive attempts, seeded random via-points are tried up
     to the sampling budget.
     """
-    q_start = np.asarray(q_start, dtype=float).reshape(4)
-    q_goal = np.asarray(q_goal, dtype=float).reshape(4)
     for name, q in (("start", q_start), ("goal", q_goal)):
         if not ctx.within_limits(q):
             raise InvalidEndpoint(f"{name} configuration violates joint limits")
@@ -360,7 +351,7 @@ def synchronize_profile(deltas: np.ndarray, v_max: np.ndarray, a_max: np.ndarray
     Per-joint cruise velocity and acceleration are rescaled to fit the shared
     timing while respecting every joint's own limits.
     """
-    deltas = np.abs(np.asarray(deltas, dtype=float))
+    deltas = np.abs(deltas)
     total = max(trapezoid_times(d, v, a)[1]
                 for d, v, a in zip(deltas, v_max, a_max))
     if total == 0.0:
@@ -382,19 +373,18 @@ def synchronize_profile(deltas: np.ndarray, v_max: np.ndarray, a_max: np.ndarray
     return total, min(blend, 0.5 * total)
 
 
-def lspb_parameterize(path: Path, v_max, a_max, sample_dt: float) -> Trajectory:
+def lspb_parameterize(path: Path, v_max: np.ndarray, a_max: np.ndarray,
+                      sample_dt: float) -> Trajectory:
     """Trapezoidal time parameterization of a waypoint path.
 
     Joints share each segment's duration (time-synchronized); velocity is
     continuous and zero at the via-points.  Zero-length segments emit nothing
     beyond the endpoint.
     """
-    v_max = np.broadcast_to(np.asarray(v_max, dtype=float), (4,))
-    a_max = np.broadcast_to(np.asarray(a_max, dtype=float), (4,))
     if (v_max <= 0).any() or (a_max <= 0).any():
         raise ValueError("velocity/acceleration limits must be positive")
     times = [0.0]
-    pos = [np.asarray(path.waypoints[0], dtype=float)]
+    pos = [path.waypoints[0]]
     vel = [np.zeros(4)]
     acc = [np.zeros(4)]
     t_offset = 0.0
@@ -429,13 +419,12 @@ def lspb_parameterize(path: Path, v_max, a_max, sample_dt: float) -> Trajectory:
     return Trajectory(np.array(times), np.array(pos), np.array(vel), np.array(acc))
 
 
-def path_cost(path: Path, weights) -> float:
+def path_cost(path: Path, weights: np.ndarray) -> float:
     """Sum of weighted squared waypoint-to-waypoint displacements."""
     if len(path.waypoints) < 2:
         raise ValueError("need at least 2 waypoints")
-    w = np.asarray(weights, dtype=float).reshape(4)
     steps = np.diff(np.stack(path.waypoints), axis=0)
-    return float((np.linalg.norm(w * steps, axis=1) ** 2).sum())
+    return float((np.linalg.norm(weights * steps, axis=1) ** 2).sum())
 
 
 def _pcg64_draws(rng: np.random.Generator):
@@ -487,7 +476,8 @@ class GaResult:
     mean_history: np.ndarray
 
 
-def ga_optimize_sequence(home_cost, matrix, params: GaParams) -> GaResult:
+def ga_optimize_sequence(home_cost: np.ndarray, matrix: np.ndarray,
+                         params: GaParams) -> GaResult:
     """Permutation GA over the task visiting order.
 
     The float arrays home_cost[j] and matrix[i, j] price the move from the
@@ -509,12 +499,6 @@ def ga_optimize_sequence(home_cost, matrix, params: GaParams) -> GaResult:
         for k in range(n - 1):
             cost = cost + matrix[pop[:, k], pop[:, k + 1]]
         return cost
-
-    if n == 1:
-        order = [0]
-        cost = float(home_cost[0])
-        return GaResult(order, cost, np.array([cost] * params.max_generations),
-                        np.array([cost] * params.max_generations))
 
     rng = np.random.default_rng(params.seed)
     pop = np.array([rng.permutation(n) for _ in range(params.population_size)])

@@ -148,10 +148,8 @@ def synthetic_scan(mesh: ConvexShape, pose: RigidTransform, scanner: ScannerConf
     return PointCloud(pts, inten)
 
 
-def field_limits_mask(cloud: PointCloud, lower, upper) -> np.ndarray:
+def field_limits_mask(cloud: PointCloud, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Mask of exactly the points inside the closed axis-aligned box."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     if (lower >= upper).any():
         raise ValueError("box needs lower < upper per axis")
     return ((cloud.points >= lower) & (cloud.points <= upper)).all(axis=1)
@@ -189,11 +187,9 @@ def fit_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 
     SVD-based orthogonal Procrustes with a reflection guard.
     """
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    cs = src.mean(axis=0)
-    ct = tgt.mean(axis=0)
-    h = (src - cs).T @ (tgt - ct)
+    cs = source.mean(axis=0)
+    ct = target.mean(axis=0)
+    h = (source - cs).T @ (target - ct)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
@@ -212,8 +208,9 @@ class IcpParams:
 
 
 def icp_register(source: PointCloud, target: PointCloud, params: IcpParams,
-                 init: RigidTransform | None = None):
-    """Iterative closest point: returns (transform source->target frame, rms).
+                 init: RigidTransform):
+    """Iterative closest point from the guess init: returns (transform
+    source->target frame, rms).
 
     Correspondences beyond the gate reject_ratio * median + 1e-300 are
     discarded, which tolerates the partial overlap between consecutive views.
@@ -246,7 +243,7 @@ def icp_register(source: PointCloud, target: PointCloud, params: IcpParams,
     """
     if len(source) == 0 or len(target) == 0:
         raise ValueError("both clouds must be non-empty")
-    tf = init or RigidTransform.identity()
+    tf = init
     tree = cKDTree(target.points, leafsize=ICP_LEAFSIZE)
     sample = tf.apply(source.points[::max(1, len(source) // 64)])
     gate = params.reject_ratio * np.median(tree.query(sample)[0]) + 1e-300

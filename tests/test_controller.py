@@ -8,10 +8,12 @@ from autosand import dynamics as dyn
 from autosand.impedance import ImpedanceSpec
 
 
-def make_net(n=8, learn_rate=2.0, seed=0):
+def make_net(n=8, seed=0):
     rng = np.random.default_rng(seed)
-    return ctl.RbfNetwork(centers=rng.uniform(-1, 1, (n, 16)), width=1.0,
-                          learn_rate=learn_rate)
+    return ctl.RbfNetwork(centers=rng.uniform(-1, 1, (n, 16)), width=1.0)
+
+
+ADAPT = ctl.ControlConfig(learn_rate=2.0)
 
 
 class TestReferenceVelocity:
@@ -50,7 +52,7 @@ class TestVelocityError:
         assert ctl.velocity_error(qd, qd) == pytest.approx(np.zeros(4))
 
     def test_componentwise(self):
-        z = ctl.velocity_error([1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+        z = ctl.velocity_error(np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
         assert z == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_task_error_is_jacobian_image(self, model, rng):
@@ -96,7 +98,7 @@ class TestRbfActivation:
         centers = np.zeros((n, 16))
         centers[:, 0] = np.linspace(-math.pi, math.pi, n)
         spacing = centers[1, 0] - centers[0, 0]
-        net = ctl.RbfNetwork(centers, width=spacing, learn_rate=0.0)
+        net = ctl.RbfNetwork(centers, width=spacing)
         grid = np.linspace(-math.pi, math.pi, 400)
         design = np.stack([
             ctl.rbf_activation(net, [s, 0, 0, 0], np.zeros(4), np.zeros(4),
@@ -167,13 +169,13 @@ class TestWeightUpdate:
         net.weights[:] = rng.uniform(-1, 1, net.weights.shape)
         before = net.weights.copy()
         theta = rng.uniform(0, 1, len(net.centers))
-        ctl.weight_update(net, theta, np.zeros(4), 0.1)
+        ctl.weight_update(ADAPT, net, theta, np.zeros(4), 0.1)
         assert net.weights == pytest.approx(before)
 
     def test_single_step_value(self):
-        net = ctl.RbfNetwork(centers=np.zeros((1, 16)), width=1.0, learn_rate=2.0)
+        net = ctl.RbfNetwork(centers=np.zeros((1, 16)), width=1.0)
         weights = net.weights
-        ctl.weight_update(net, np.array([0.5]), np.array([1.0, 0, 0, 0]), 0.1)
+        ctl.weight_update(ADAPT, net, np.array([0.5]), np.array([1.0, 0, 0, 0]), 0.1)
         assert net.weights is weights
         assert net.weights[0, 0] == pytest.approx(-0.1)
         assert net.weights[1:] == pytest.approx(np.zeros((3, 1)))
@@ -181,8 +183,8 @@ class TestWeightUpdate:
     def test_row_decoupling(self, rng):
         base, other = make_net(), make_net()
         theta = rng.uniform(0, 1, len(base.centers))
-        ctl.weight_update(base, theta, np.array([0.3, 0.0, 0.0, 0.0]), 0.1)
-        ctl.weight_update(other, theta, np.array([0.3, 5.0, -2.0, 1.0]), 0.1)
+        ctl.weight_update(ADAPT, base, theta, np.array([0.3, 0.0, 0.0, 0.0]), 0.1)
+        ctl.weight_update(ADAPT, other, theta, np.array([0.3, 5.0, -2.0, 1.0]), 0.1)
         assert other.weights[0] == pytest.approx(base.weights[0])
         assert other.weights[1] != pytest.approx(base.weights[1])
 
@@ -241,11 +243,11 @@ class TestValidation:
             ctl.ControlConfig(robust_gain=-1.0)
         with pytest.raises(ValueError):
             ctl.ControlConfig(boundary=-0.05)
+        with pytest.raises(ValueError):
+            ctl.ControlConfig(learn_rate=-1.0)
 
     def test_network(self):
         with pytest.raises(ValueError):
-            ctl.RbfNetwork(centers=np.zeros((4, 16)), width=0.0, learn_rate=1.0)
+            ctl.RbfNetwork(centers=np.zeros((4, 16)), width=0.0)
         with pytest.raises(ValueError):
-            ctl.RbfNetwork(centers=np.zeros((4, 16)), width=1.0, learn_rate=-1.0)
-        with pytest.raises(ValueError):
-            ctl.weight_update(make_net(), np.zeros(8), np.zeros(4), 0.0)
+            ctl.weight_update(ADAPT, make_net(), np.zeros(8), np.zeros(4), 0.0)

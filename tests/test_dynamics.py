@@ -647,14 +647,6 @@ class TestStep:
         with pytest.raises(np.linalg.LinAlgError, match="at t = 0.5000"):
             dyn.step(model, zero, zero, zero, None, 1e-4, t=0.5)
 
-    def test_list_inputs(self, model):
-        q, qdot, u = [0.1, -0.1, 0.4, -0.8], [0.01, 0.0, -0.2, 0.1], [1.0, 20.0, 3.0, 0.5]
-        contact = dyn.BeltContact(plane_offset=0.0, stiffness=1e4, damping=50.0, drag=2.0)
-        expected = dyn.step(model, np.array(q), np.array(qdot), np.array(u), contact,
-                            1e-4, np.array(u))
-        for got, want in zip(dyn.step(model, q, qdot, u, contact, 1e-4, u), expected):
-            assert np.array_equal(got, want)
-
     def test_joint_limit_reported(self, model):
         q, qdot = np.array([0.99, 0, 0, 0]), np.array([0.5, 0, 0, 0])
         with pytest.raises(dyn.JointLimitViolation,

@@ -20,11 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autosand import cli, harness
+from autosand import controller as ctl
 from autosand import planner as pln
 from autosand import pointcloud as pc
 from autosand.config import (ContactConfig, PipelineConfig, PipelineOptions, from_ini,
                              load_config, save_config, to_ini)
 from autosand.dynamics import RobotModel
+from autosand.geometry import RigidTransform
 from autosand.impedance import ImpedanceSpec
 from autosand.planner import GaParams
 from autosand.pointcloud import ScannerConfig
@@ -66,13 +68,19 @@ def small_config(**overrides):
     return cfg
 
 
-def tree_digest(root, patterns=("scans/*.ply", "faces/*.csv", "cost_matrix.csv",
-                                "ga_history.csv", "sequence.json", "model.ply")):
+# Every deterministic artifact of a run: report.json is left out, as it holds
+# the wall time.  The benchmark's output check hashes the same files.
+ARTIFACTS = ("scans/*.ply", "faces/*.csv", "transits/*.csv", "cost_matrix.csv",
+             "ga_history.csv", "sequence.json", "model.ply")
+
+
+def tree_digest(root, patterns=ARTIFACTS):
+    """SHA-256 over the matching files' paths, relative to root, and bytes."""
     digest = hashlib.sha256()
     root = Path(root)
     for pattern in patterns:
         for path in sorted(root.glob(pattern)):
-            digest.update(path.name.encode())
+            digest.update(path.relative_to(root).as_posix().encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
 
@@ -169,8 +177,8 @@ def small_run(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(pln, name, counted(name))
-        harness.run_pipeline(small_config(), out)
-    return {"out": out, "calls": calls["plan_single_query"],
+        report = harness.run_pipeline(small_config(), out)
+    return {"out": out, "report": report, "calls": calls["plan_single_query"],
             "gjk_calls": calls["gjk_intersects"]}
 
 
@@ -211,6 +219,20 @@ class TestPipelineReference:
 
 
 class TestRunReport:
+    def test_report_holds_plain_values(self, small_run):
+        """report.json is written with no encoder for numpy types: the
+        report holds only bools, ints, floats, strings and None, in lists
+        and dicts."""
+        def leaves(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if type(value) is list:
+                return [leaf for item in value for leaf in leaves(item)]
+            return [value]
+
+        kinds = {type(leaf) for leaf in leaves(dataclasses.asdict(small_run["report"]))}
+        assert kinds <= {bool, int, float, str, type(None)}, kinds
+
     def test_faces_carry_descent_monitor(self, small_run, tmp_path):
         """Each face in report.json keeps the descent verdict, max rise and
         settle time of its last sanding run."""
@@ -317,6 +339,29 @@ class TestSandingSetup:
         assert setup.duration == setup.config.sim.sanding_duration == 0.25
         with pytest.raises(AttributeError):
             setup.duration = 1.0
+        # build_network reads [control] and [robot]; the network keeps none
+        # of their values (weight_update reads [control] learn_rate)
+        read = {f.name for section in (config.control, config.robot)
+                for f in dataclasses.fields(section)}
+        net_fields = {f.name for f in dataclasses.fields(ctl.RbfNetwork)}
+        assert sorted(read & net_fields) == []
+
+
+class TestFieldBounds:
+    @pytest.mark.parametrize("variation", [0.006, -0.006])
+    def test_box_holds_every_object_point(self, variation):
+        """The radii swing by |radius_variation| either way, so the field
+        box keeps every point of the object's scan whatever the sign."""
+        cfg = PipelineConfig()
+        cfg.object.radius_variation = variation
+        cfg.scanner.field_margin = 0.005
+        cell = harness.build_workcell(cfg)
+        lo, hi = harness.field_bounds(cfg)
+        for k, angle in enumerate((0.0, 1.0, 2.5)):
+            cloud = pc.synthetic_scan(cell.mesh, RigidTransform.rotation_z(angle),
+                                      cfg.scanner, harness.derive_seed(cfg.sim.seed, 5), k,
+                                      cell.roughness)
+            assert pc.field_limits_mask(cloud, lo, hi).all(), angle
 
 
 class TestSandingPhaseEdges:
@@ -333,12 +378,13 @@ class TestSandingPhaseEdges:
         assert result.steady_force == float(result.forces[-1] @ np.array([1.0, 0.0, 0.0]))
 
     def test_report_written_on_stage_failure(self, tmp_path):
-        cfg = small_config(**{"pipeline.home": (-0.3, 0.0, 0.0, 0.0)})
+        cfg = small_config(**{"pipeline.home": np.array([-0.3, 0.0, 0.0, 0.0])})
         with pytest.raises(harness.PipelineError) as info:
             harness.run_pipeline(cfg, tmp_path / "boom")
         assert info.value.stage == "plan"
         report = json.loads((tmp_path / "boom" / "report.json").read_text())
         assert report["error"]
+        assert report["error_class"] == "autosand.planner.InvalidEndpoint"
         assert report["faces"] == []
 
 
@@ -1013,6 +1059,9 @@ class TestArraySettings:
 
 
 class TestBenchReference:
+    def test_tree_digest_covers_the_checked_artifacts(self, bench):
+        assert ARTIFACTS == bench("check").ARTIFACTS
+
     @pytest.mark.parametrize("workload", ["plan_dense", "sand_hold", "scan_dense"])
     def test_first_input_matches_stored_digest(self, bench, tmp_path, workload):
         """Each workload's first benchmark input writes the artifacts whose
@@ -1027,7 +1076,7 @@ class TestBenchReference:
 class TestCsvFormat:
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "log.csv"
-        harness.write_csv(path, ["a", "b"], [[1.0, 2.5], [3.0, 1e-7]])
+        harness.write_csv(path, ["a", "b"], np.array([[1.0, 2.5], [3.0, 1e-7]]))
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1,2.5"
@@ -1215,3 +1264,27 @@ class TestScripts:
         assert all(re.search(r", GA \d+\.\d ms$", line) for line in out[:2])
         assert out[-2] == "2/2 instances solved to optimality (4 tasks, 24 permutations each)"
         assert re.fullmatch(r"median GA time \d+\.\d ms", out[-1])
+
+    def test_check_reference(self, monkeypatch, capsys):
+        """Runs one benchmark input through the reference check's own entry
+        point: its stored digest matches; a digest that differs exits 1, an
+        unknown workload 2.  bench/ gets no bytecode, and sys.path and the
+        environment are restored afterwards."""
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            monkeypatch.setenv(name, os.environ.get(name, ""))
+        path = Path(__file__).parents[1] / "scripts" / "check_reference.py"
+        spec = importlib.util.spec_from_file_location("check_reference", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script.workloads, "CELLS", (0,))
+        monkeypatch.setattr(script.workloads, "SEED_CYCLE", 1)
+        assert script.main(["sand_hold"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["sand_hold c0-g0 ok",
+                                                        "1 of 1 digests match"]
+        monkeypatch.setattr(script, "run_digest", lambda *args: "0" * 64)
+        assert script.main(["sand_hold"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["sand_hold c0-g0 MISMATCH",
+                                                        "0 of 1 digests match"]
+        assert script.main(["no_such_workload"]) == 2

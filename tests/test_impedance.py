@@ -9,32 +9,37 @@ from autosand import impedance as imp
 POSITIVE = st.floats(0.1, 50.0, allow_nan=False)
 
 
+def rates(inertia, damping, stiffness):
+    """factor_rates of the same target on all three axes."""
+    return imp.factor_rates(np.full(3, inertia), np.full(3, damping), np.full(3, stiffness))
+
+
 class TestFactorRates:
     def test_headline_gains(self):
-        track, filt = imp.factor_rates(1.0, 12.5, 11.5)
+        track, filt = rates(1.0, 12.5, 11.5)
         assert track == pytest.approx([11.5] * 3)
         assert filt == pytest.approx([1.0] * 3)
 
     def test_critically_damped(self):
-        track, filt = imp.factor_rates(1.0, 2.0, 1.0)
+        track, filt = rates(1.0, 2.0, 1.0)
         assert track == pytest.approx([1.0] * 3)
         assert filt == pytest.approx([1.0] * 3)
 
     def test_quadratic_roots(self):
-        track, filt = imp.factor_rates(1.0, 3.0, 2.0)
+        track, filt = rates(1.0, 3.0, 2.0)
         assert track == pytest.approx([2.0] * 3)
         assert filt == pytest.approx([1.0] * 3)
 
     def test_underdamped_rejected(self):
         with pytest.raises(imp.ComplexRoots):
-            imp.factor_rates(1.0, 1.0, 10.0)
+            rates(1.0, 1.0, 10.0)
 
     @settings(max_examples=100, deadline=None)
     @given(POSITIVE, POSITIVE)
     def test_factorization_identity(self, inertia, damping):
         # pick stiffness on the real-root side of the discriminant
         stiffness = 0.2 * damping ** 2 / (4.0 * inertia)
-        track, filt = imp.factor_rates(inertia, damping, stiffness)
+        track, filt = rates(inertia, damping, stiffness)
         assert track + filt == pytest.approx(np.full(3, damping / inertia), rel=1e-12)
         assert track * filt == pytest.approx(np.full(3, stiffness / inertia), rel=1e-12)
         assert (track >= filt).all()

@@ -29,19 +29,19 @@ def random_box_pair(rng):
 class TestGjk:
     def test_coincident_cubes(self):
         cube = box((1.0, 1.0, 1.0))
-        assert pl.gjk_intersects(cube, cube)
+        assert pl.gjk_intersects(cube, cube, RigidTransform())
 
     def test_far_separation(self):
         cube = box((1.0, 1.0, 1.0))
         far = RigidTransform(np.eye(3), (3.0, 0.0, 0.0))
-        assert not pl.gjk_intersects(cube, posed(cube, far))
+        assert not pl.gjk_intersects(cube, posed(cube, far), RigidTransform())
 
     def test_touching_margin(self):
         cube = box((1.0, 1.0, 1.0))
         near = RigidTransform(np.eye(3), (1.0 + 1e-4, 0.0, 0.0))
         overlapping = RigidTransform(np.eye(3), (1.0 - 1e-4, 0.0, 0.0))
-        assert not pl.gjk_intersects(cube, posed(cube, near))
-        assert pl.gjk_intersects(cube, posed(cube, overlapping))
+        assert not pl.gjk_intersects(cube, posed(cube, near), RigidTransform())
+        assert pl.gjk_intersects(cube, posed(cube, overlapping), RigidTransform())
 
     def test_against_separating_axis_oracle(self, rng):
         checked = 0
@@ -233,7 +233,7 @@ class TestLspb:
     def test_rejects_bad_limits(self):
         path = pl.Path([np.zeros(4), np.ones(4)])
         with pytest.raises(ValueError):
-            pl.lspb_parameterize(path, 0.0, 1.0, 0.01)
+            pl.lspb_parameterize(path, np.zeros(4), np.ones(4), 0.01)
 
 
 class TestPathCost:
@@ -307,9 +307,6 @@ def array_form_ga(n, params, home_cost, matrix):
             cost = cost + matrix[pop[:, k], pop[:, k + 1]]
         return cost
 
-    if n == 1:
-        hist = np.array([float(home_cost[0])] * params.max_generations)
-        return [0], float(home_cost[0]), hist, hist.copy()
     rng = np.random.default_rng(params.seed)
     pop = np.array([rng.permutation(n) for _ in range(params.population_size)])
     costs = fitness(pop)

@@ -159,15 +159,19 @@ class TestSyntheticScan:
         assert np.median(d) < 1e-12
 
 
+UNIT_BOX = (np.full(3, -1.0), np.ones(3))
+IDENTITY = geo.RigidTransform.identity()
+
+
 class TestFieldLimits:
     def test_identity_inside(self, rng):
         cloud = pc.PointCloud(rng.uniform(-0.5, 0.5, (200, 3)))
-        out = cloud.select(pc.field_limits_mask(cloud, [-1, -1, -1], [1, 1, 1]))
+        out = cloud.select(pc.field_limits_mask(cloud, *UNIT_BOX))
         assert np.array_equal(out.points, cloud.points)
 
     def test_all_outside(self, rng):
         cloud = pc.PointCloud(rng.uniform(2, 3, (50, 3)))
-        out = cloud.select(pc.field_limits_mask(cloud, [-1, -1, -1], [1, 1, 1]))
+        out = cloud.select(pc.field_limits_mask(cloud, *UNIT_BOX))
         assert len(out) == 0
 
     def test_matches_brute_force(self, rng):
@@ -182,8 +186,8 @@ class TestFieldLimits:
 
     def test_idempotent(self, rng):
         cloud = pc.PointCloud(rng.uniform(-2, 2, (300, 3)))
-        once = cloud.select(pc.field_limits_mask(cloud, [-1, -1, -1], [1, 1, 1]))
-        twice = once.select(pc.field_limits_mask(once, [-1, -1, -1], [1, 1, 1]))
+        once = cloud.select(pc.field_limits_mask(cloud, *UNIT_BOX))
+        twice = once.select(pc.field_limits_mask(once, *UNIT_BOX))
         assert np.array_equal(once.points, twice.points)
 
 
@@ -287,7 +291,7 @@ class TestSorFilter:
 class TestIcp:
     def test_self_registration(self):
         cloud = scan(geo.box((0.2, 0.2, 0.2)), noise=2e-4, sensor_seed=5)
-        tf, rms = pc.icp_register(cloud, cloud, pc.IcpParams())
+        tf, rms = pc.icp_register(cloud, cloud, pc.IcpParams(), IDENTITY)
         assert np.abs(tf.rotation - np.eye(3)).max() < 1e-12
         assert np.abs(tf.translation).max() < 1e-12
         assert rms < 1e-12
@@ -296,7 +300,7 @@ class TestIcp:
         src = scan(geo.box((0.2, 0.2, 0.2)))
         truth = geo.RigidTransform.rotation_z(math.radians(10.0), (0.01, 0.02, 0.0))
         tgt = transformed(src, truth)
-        tf, _ = pc.icp_register(src, tgt, pc.IcpParams())
+        tf, _ = pc.icp_register(src, tgt, pc.IcpParams(), IDENTITY)
         assert np.abs(tf.rotation - truth.rotation).max() < 1e-6
         assert np.abs(tf.translation - truth.translation).max() < 1e-6
 
@@ -307,7 +311,7 @@ class TestIcp:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             tgt = pc.PointCloud(clean + rng.standard_normal(clean.shape) * 2e-4)
-            tf, _ = pc.icp_register(src, tgt, pc.IcpParams())
+            tf, _ = pc.icp_register(src, tgt, pc.IcpParams(), IDENTITY)
             t_err = np.linalg.norm(tf.translation - truth.translation)
             cos_a = (np.trace(tf.rotation @ truth.rotation.T) - 1.0) / 2.0
             rot_err = math.degrees(math.acos(min(1.0, max(-1.0, cos_a))))
@@ -317,7 +321,7 @@ class TestIcp:
     def test_empty_cloud_rejected(self):
         cloud = scan(geo.box((0.2, 0.2, 0.2)))
         with pytest.raises(ValueError):
-            pc.icp_register(pc.PointCloud(np.zeros((0, 3))), cloud, pc.IcpParams())
+            pc.icp_register(pc.PointCloud(np.zeros((0, 3))), cloud, pc.IcpParams(), IDENTITY)
 
     def test_divergence_guard(self, monkeypatch):
         # a fit that pushes the source further away every call must trip the guard
@@ -331,7 +335,7 @@ class TestIcp:
         monkeypatch.setattr(pc, "fit_rigid", runaway_fit)
         cloud = pc.PointCloud(np.random.default_rng(0).standard_normal((50, 3)))
         with pytest.raises(pc.Diverged):
-            pc.icp_register(cloud, cloud, params=pc.IcpParams(max_diverging=3))
+            pc.icp_register(cloud, cloud, pc.IcpParams(max_diverging=3), IDENTITY)
 
     def test_best_never_worse_than_init(self, rng):
         src = scan(geo.box((0.2, 0.2, 0.2)))
@@ -344,10 +348,10 @@ class TestIcp:
         assert rms <= init_rms + 1e-15
 
 
-def unbounded_icp(source, target, params, init=None):
+def unbounded_icp(source, target, params, init):
     """icp_register with an unbounded neighbour search in every iteration:
     the reference whose (tf, rms) the bounded search must equal bit for bit."""
-    tf = init or geo.RigidTransform.identity()
+    tf = init
     tree = cKDTree(target.points)
     best_tf, best_rms = tf, np.inf
     prev_rms = np.inf
@@ -375,7 +379,7 @@ def unbounded_icp(source, target, params, init=None):
     return best_tf, best_rms
 
 
-def assert_same_registration(source, target, init=None, params=None):
+def assert_same_registration(source, target, init=IDENTITY, params=None):
     """icp_register and unbounded_icp return the same bits, or both diverge;
     params defaults to the [icp] section's defaults."""
     outcomes = []
@@ -462,7 +466,7 @@ class TestBoundedIcp:
         grid = integer_grid()
         source = grid + [0.1, 0.0, 0.0]
         source[1::25] += [0.0, 0.0, 50.0]
-        assert_same_registration(pc.PointCloud(source), pc.PointCloud(grid), None,
+        assert_same_registration(pc.PointCloud(source), pc.PointCloud(grid), IDENTITY,
                                  pc.IcpParams(reject_ratio=0.5))
         assert tree_queries[1][1] < np.inf and tree_queries[2][1] == np.inf
 
@@ -488,7 +492,7 @@ class TestBoundedIcp:
         for icp in (pc.icp_register, unbounded_icp):
             calls.clear()
             with pytest.raises(pc.Diverged):
-                icp(cloud, cloud, params=params)
+                icp(cloud, cloud, params, IDENTITY)
             fits.append(len(calls))
         assert fits[0] == fits[1]
 
