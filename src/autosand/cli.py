@@ -117,10 +117,10 @@ def cmd_sand(args) -> int:
         harness.write_csv(out / "sand_nominal.csv", harness.LOG_COLUMNS, result.log)
     else:
         cell = harness.build_workcell(config)
-        if args.face not in cell.face_ids:
-            raise ValueError(f"no lateral face {args.face}; faces are {cell.face_ids}")
-        task = cell.tasks[cell.face_ids.index(args.face)]
-        result = harness._sand_face(config, cell, task, 0, out)
+        tasks = {t.face_id: t for t in cell.tasks}
+        if args.face not in tasks:
+            raise ValueError(f"no lateral face {args.face}; faces are {list(tasks)}")
+        result = harness._sand_face(config, cell, tasks[args.face], 0, out)
     print(f"steady force {result.steady_force:.3f} N "
           f"(error {result.steady_force_error:+.3f} N), "
           f"tail |zq| {result.mean_zq_tail:.2e}, "

@@ -57,56 +57,46 @@ class RigidTransform:
 
 @dataclass
 class ConvexShape:
-    """Convex polyhedron given by its vertices plus per-face vertex index rings.
-
-    The face connectivity is used for surface sampling and contact offsets;
-    intersection tests only ever touch the vertex set.
+    """Convex polyhedron given by its vertices plus per-face vertex index rings,
+    with each face's table computed once when it is built: ``normals[i]``, the
+    outward unit normal, ``supports[i]``, the plane offset (n . x = supports[i]
+    on the face), and ``triangles[i]``, the (k, 3, 3) fan from the face's first
+    vertex, with their ``areas[i]``.  The vertices are a read-only copy of the
+    caller's, so the table cannot go stale; intersection tests only touch them.
     """
 
     vertices: np.ndarray
     faces: tuple = ()
+    normals: np.ndarray = field(init=False, repr=False)
+    supports: tuple = field(init=False, repr=False)
+    triangles: tuple = field(init=False, repr=False)
+    areas: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
+        self.vertices = np.array(self.vertices, dtype=float).reshape(-1, 3)
         if len(self.vertices) < 4:
             raise ValueError("a solid needs at least 4 vertices")
         if not np.isfinite(self.vertices).all():
             raise ValueError("vertices must be finite")
         self.faces = tuple(tuple(int(i) for i in f) for f in self.faces)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-    def face_vertices(self, i: int) -> np.ndarray:
-        return self.vertices[list(self.faces[i])]
-
-    def face_normal(self, i: int) -> np.ndarray:
-        v = self.face_vertices(i)
-        n = np.cross(v[1] - v[0], v[2] - v[0])
-        n = n / np.linalg.norm(n)
-        if n @ (v.mean(axis=0) - self.centroid) < 0.0:
-            n = -n
-        return n
-
-    def face_area(self, i: int) -> float:
-        v = self.face_vertices(i)
-        total = 0.0
-        for a, b in self._fan(len(v)):
-            total += 0.5 * np.linalg.norm(np.cross(v[a] - v[0], v[b] - v[0]))
-        return total
-
-    def face_support(self, i: int) -> float:
-        """Signed plane offset of face i: n . x = face_support on the face."""
-        return float(self.face_normal(i) @ self.face_vertices(i)[0])
-
-    def face_triangles(self, i: int) -> list:
-        v = self.face_vertices(i)
-        return [(v[0], v[a], v[b]) for a, b in self._fan(len(v))]
-
-    @staticmethod
-    def _fan(n: int):
-        return [(k, k + 1) for k in range(1, n - 1)]
+        centroid = self.vertices.mean(axis=0)
+        normals, supports, triangles, areas = [], [], [], []
+        for face in self.faces:
+            v = self.vertices[list(face)]
+            n = np.cross(v[1] - v[0], v[2] - v[0])
+            n = n / np.linalg.norm(n)
+            if n @ (v.mean(axis=0) - centroid) < 0.0:
+                n = -n
+            fan = range(1, len(v) - 1)
+            normals.append(n)
+            supports.append(float(n @ v[0]))
+            triangles.append(np.array([(v[0], v[k], v[k + 1]) for k in fan]))
+            areas.append(np.array([0.5 * np.linalg.norm(np.cross(v[k] - v[0], v[k + 1] - v[0]))
+                                   for k in fan]))
+        self.normals = np.array(normals).reshape(-1, 3)
+        self.supports, self.triangles, self.areas = tuple(supports), tuple(triangles), tuple(areas)
+        for a in (self.vertices, self.normals, *self.triangles, *self.areas):
+            a.setflags(write=False)
 
 
 def box(extents, center=(0.0, 0.0, 0.0)) -> ConvexShape:
@@ -153,5 +143,4 @@ def prism(radii: np.ndarray, height: float) -> ConvexShape:
 
 def lateral_faces(shape: ConvexShape) -> list:
     """Indices of faces whose outward normal is perpendicular to z."""
-    return [i for i in range(len(shape.faces))
-            if abs(shape.face_normal(i)[2]) < 1e-9]
+    return [i for i, n in enumerate(shape.normals) if abs(n[2]) < 1e-9]

@@ -186,21 +186,20 @@ class Workcell:
     """
 
     mesh: ConvexShape
-    face_ids: list
     tasks: list
     planner_ctx: pln.PlannerContext
     roughness: np.ndarray
     transits: dict = field(default_factory=dict)
 
 
-def build_holder() -> ConvexShape:
-    return box((0.04, 0.06, 0.04), center=(0.0, -0.13, 0.0))
+# The static part holder that every scan view sees beside the object.
+HOLDER = box((0.04, 0.06, 0.04), center=(0.0, -0.13, 0.0))
 
 
 def face_geometry(mesh: ConvexShape, face: int):
     """(normal angle in the cross-section plane, support distance) of a lateral face."""
-    n = mesh.face_normal(face)
-    return float(np.arctan2(n[1], n[0])), mesh.face_support(face)
+    n = mesh.normals[face]
+    return float(np.arctan2(n[1], n[0])), mesh.supports[face]
 
 
 def build_workcell(config: PipelineConfig) -> Workcell:
@@ -223,7 +222,7 @@ def build_workcell(config: PipelineConfig) -> Workcell:
         seed=derive_seed(config.sim.seed, 11))
     roughness = np.zeros(len(mesh.faces))
     roughness[faces] = config.object.roughness
-    return Workcell(mesh, faces, tasks, ctx, roughness)
+    return Workcell(mesh, tasks, ctx, roughness)
 
 
 def build_network(config: PipelineConfig) -> ctl.RbfNetwork:
@@ -263,7 +262,7 @@ def scan_view(config: PipelineConfig, mesh: ConvexShape, roughness,
     surface_seed = derive_seed(config.sim.seed, 5)
     cloud = pc.synthetic_scan(mesh, RigidTransform.rotation_z(angle), config.scanner,
                               surface_seed, sensor_seed, roughness)
-    holder = pc.synthetic_scan(build_holder(), RigidTransform.identity(),
+    holder = pc.synthetic_scan(HOLDER, RigidTransform.identity(),
                                config.scanner, surface_seed, sensor_seed + 1)
     pts = np.vstack([cloud.points, holder.points])
     inten = np.concatenate([cloud.intensity, holder.intensity])
@@ -274,8 +273,7 @@ def crop_to_face(cloud: pc.PointCloud, pose: RigidTransform, mesh: ConvexShape,
                  face: int) -> pc.PointCloud:
     """Points whose closest hull plane is the requested face (object frame)."""
     local = pose.inverse().apply(cloud.points)
-    signed = np.stack([local @ mesh.face_normal(i) - mesh.face_support(i)
-                       for i in range(len(mesh.faces))], axis=1)
+    signed = np.stack([local @ n - d for n, d in zip(mesh.normals, mesh.supports)], axis=1)
     return cloud.select(signed.argmax(axis=1) == face)
 
 
@@ -322,15 +320,25 @@ class RunReport:
 
 # --- the pipeline ----------------------------------------------------------------
 
+# Every file a run writes, as glob patterns relative to its output directory.
+RUN_FILES = ("scans/view_*.ply", "scans/views.json", "faces/face*_attempt*.csv",
+             "transits/leg*_face*.csv", "model.ply", "cost_matrix.csv", "ga_history.csv",
+             "sequence.json", "report.json")
+
+
 def run_pipeline(config: PipelineConfig, out_dir) -> RunReport:
     """Scan, model, sequence, then sand every face with quality-gated re-sanding.
 
-    Writes PLY/CSV/JSON artifacts under out_dir and returns the report.  On a
-    stage failure a partial report (with the error recorded) is still written
+    Writes PLY/CSV/JSON artifacts under out_dir, after deleting an earlier
+    run's (RUN_FILES) and no other file, and returns the report.  On a stage
+    failure a partial report (with the error recorded) is still written
     before PipelineError propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for pattern in RUN_FILES:
+        for path in out.glob(pattern):
+            path.unlink()
     report = RunReport()
     t_start = time.perf_counter()
     try:
@@ -452,7 +460,7 @@ def _transit_leg(config, cell, i, j, leg, out) -> pln.Trajectory:
 def _sand_face(config, cell, task, attempt, out):
     """Closed-loop sanding of one face: press to the force setpoint and hold."""
     contact = config.contact.belt(config.contact.belt_x
-                                  - cell.mesh.face_support(task.face_id))
+                                  - cell.mesh.supports[task.face_id])
     depth = abs(config.setpoint.force) / config.contact.stiffness
     x_d = np.array([contact.plane_offset + depth, 0.0, task.contact[2] + task.contact[3]])
     result = simulate_sanding(SandingSetup(

@@ -98,21 +98,18 @@ def _face_samples(mesh: ConvexShape, face: int, scanner: ScannerConfig,
     """Deterministic material points with texture displacement and reflectance."""
     rough = np.broadcast_to(np.asarray(roughness, dtype=float),
                             (len(mesh.faces),))[face]
-    area = mesh.face_area(face)
-    n_pts = max(1, int(round(scanner.density * area)))
+    tris, areas = mesh.triangles[face], mesh.areas[face]
+    n_pts = max(1, int(round(scanner.density * sum(areas, 0.0))))
     rng = np.random.default_rng(np.random.SeedSequence((surface_seed, face)))
-    tris = mesh.face_triangles(face)
-    areas = np.array([0.5 * np.linalg.norm(np.cross(b - a, c - a)) for a, b, c in tris])
     pick = rng.choice(len(tris), size=n_pts, p=areas / areas.sum())
     r1 = np.sqrt(rng.uniform(size=n_pts))
     r2 = rng.uniform(size=n_pts)
     texture = rng.standard_normal(n_pts)
     speckle = rng.standard_normal(n_pts)
-    tri = np.array(tris)[pick]
+    tri = tris[pick]
     pts = (1 - r1)[:, None] * tri[:, 0] + (r1 * (1 - r2))[:, None] * tri[:, 1] \
         + (r1 * r2)[:, None] * tri[:, 2]
-    normal = mesh.face_normal(face)
-    pts = pts + (rough * texture)[:, None] * normal
+    pts = pts + (rough * texture)[:, None] * mesh.normals[face]
     inten = scanner.intensity_base - scanner.intensity_slope * rough \
         + scanner.speckle * speckle
     return pts, np.clip(inten, 0.0, 1.0)
@@ -130,8 +127,8 @@ def synthetic_scan(mesh: ConvexShape, pose: RigidTransform, scanner: ScannerConf
     noise is added along the viewing ray in the world frame.
     """
     view_dir = scanner.view_dir / np.linalg.norm(scanner.view_dir)
-    visible = [i for i in range(len(mesh.faces))
-               if (pose.rotation @ mesh.face_normal(i)) @ view_dir < -1e-9]
+    visible = [i for i, n in enumerate(mesh.normals)
+               if (pose.rotation @ n) @ view_dir < -1e-9]
     if not visible:
         raise EmptyScan("no face visible from the given pose")
     pts_all, inten_all = [], []

@@ -209,6 +209,36 @@ class TestPipelineDeterminism:
         assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "b")
 
 
+def tree_files(root) -> dict:
+    """Bytes of every file under root, by path relative to root."""
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRunDirectory:
+    def test_run_replaces_an_earlier_run(self, small_run, tmp_path):
+        """A 3-face run into the directory of a 4-face run leaves the tree of
+        a fresh 3-face run, report.json aside, and keeps every foreign file."""
+        reused = tmp_path / "reused"
+        for name, data in tree_files(small_run["out"]).items():
+            (reused / name).parent.mkdir(parents=True, exist_ok=True)
+            (reused / name).write_bytes(data)
+        assert (reused / "faces" / "face03_attempt0.csv").exists()
+        foreign = {"notes.txt": b"kept\n", "scans/holder.xyz": b"0 0 0\n"}
+        for name, data in foreign.items():
+            (reused / name).write_bytes(data)
+        harness.run_pipeline(small_config(**{"object.sides": 3}), reused)
+        harness.run_pipeline(small_config(**{"object.sides": 3}), tmp_path / "fresh")
+
+        got, want = tree_files(reused), tree_files(tmp_path / "fresh")
+        for name, data in foreign.items():
+            assert got.pop(name) == data
+        assert sorted(got) == sorted(want)
+        assert {k: v for k, v in got.items() if k != "report.json"} == \
+               {k: v for k, v in want.items() if k != "report.json"}
+
+
 class TestPipelineReference:
     def test_matches_stored_reference(self, small_run):
         """The per-face sanding path (face contact and setpoint, sensor
@@ -240,7 +270,7 @@ class TestRunReport:
         cfg = small_config()
         cell = harness.build_workcell(cfg)
         face = faces[0]
-        task = cell.tasks[cell.face_ids.index(face["face_id"])]
+        task = next(t for t in cell.tasks if t.face_id == face["face_id"])
         monitor = harness._sand_face(cfg, cell, task, face["resand_count"],
                                      tmp_path).monitor
         assert face["descent_passed"] is monitor.passed

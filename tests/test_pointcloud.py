@@ -32,8 +32,8 @@ def point_mesh_distance(points, shape):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     signed = np.full(len(pts), -np.inf)
-    for i in range(len(shape.faces)):
-        signed = np.maximum(signed, pts @ shape.face_normal(i) - shape.face_support(i))
+    for n, d in zip(shape.normals, shape.supports):
+        signed = np.maximum(signed, pts @ n - d)
     return np.abs(signed)
 
 
@@ -115,13 +115,54 @@ class TestRigidTransform:
         assert abs(np.linalg.det(tf.rotation) - 1.0) < 1e-9
 
 
+class TestConvexShape:
+    """The face table a shape computes when it is built."""
+
+    def test_box_faces(self):
+        extents, center = np.array([0.2, 0.4, 0.6]), np.array([0.1, -0.2, 0.3])
+        shape = geo.box(extents, center)
+        axes = np.repeat(np.eye(3), 2, axis=0) * np.tile([-1.0, 1.0], 3)[:, None]
+        assert np.array_equal(shape.normals, axes)
+        half = np.repeat(extents / 2.0, 2)
+        assert shape.supports == pytest.approx(half + axes @ center, abs=1e-12)
+        sides = np.repeat([extents[1] * extents[2], extents[0] * extents[2],
+                           extents[0] * extents[1]], 2)
+        assert [sum(a) for a in shape.areas] == pytest.approx(sides, rel=1e-12)
+
+    def test_prism_faces(self):
+        cfg = PipelineConfig()
+        shape = geo.prism(cfg.object.radii(), cfg.object.height)
+        sides = cfg.object.sides
+        assert len(shape.faces) == sides + 2
+        for face, n, d, tris, areas in zip(shape.faces, shape.normals, shape.supports,
+                                           shape.triangles, shape.areas):
+            v = shape.vertices[list(face)]
+            assert np.abs(v @ n - d).max() < 1e-12
+            assert np.linalg.norm(n) == pytest.approx(1.0, rel=1e-12)
+            assert tris.shape == (len(face) - 2, 3, 3)
+            shoelace = 0.5 * np.linalg.norm(np.cross(v, np.roll(v, -1, axis=0)).sum(axis=0))
+            assert areas.sum() == pytest.approx(shoelace, rel=1e-12)
+        assert geo.lateral_faces(shape) == list(range(sides))
+        assert not shape.normals[:sides, 2].any()
+
+    def test_vertices_read_only_copy(self):
+        cube = geo.box((1.0, 2.0, 3.0))
+        verts = np.array(cube.vertices)
+        shape = geo.ConvexShape(verts, cube.faces)
+        with pytest.raises(ValueError):
+            shape.vertices[0, 0] = 5.0
+        verts[:] = 0.0
+        assert np.array_equal(shape.vertices, cube.vertices)
+        assert np.array_equal(shape.normals, cube.normals)
+        assert shape.supports == cube.supports
+
+
 class TestSyntheticScan:
     def test_cube_diagonal_view(self):
         cube = geo.box((1.0, 1.0, 1.0))
         scanner = pc.ScannerConfig(density=1e4, depth_noise=2e-4, view_dir=(-1, -1, -1))
         cloud = pc.synthetic_scan(cube, geo.RigidTransform.identity(), scanner, 3, 4)
-        visible = [i for i in range(6)
-                   if cube.face_normal(i) @ scanner.view_dir < 0]
+        visible = [n for n in cube.normals if n @ scanner.view_dir < 0]
         assert len(visible) == 3
         assert len(cloud) == pytest.approx(3e4, rel=0.01)
         dist = point_mesh_distance(cloud.points, cube)
@@ -553,8 +594,8 @@ class TestMergeScans:
         assert np.sqrt((dist ** 2).mean()) < 1e-3
         # every lateral face is represented in the merged model
         for face in geo.lateral_faces(cube):
-            n = cube.face_normal(face)
-            d = cube.face_support(face)
+            n = cube.normals[face]
+            d = cube.supports[face]
             on_face = np.abs(merged.points @ n - d) < 1.5e-3
             assert on_face.sum() > 100
 
