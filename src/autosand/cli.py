@@ -13,6 +13,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -74,14 +75,15 @@ def cmd_model(args) -> int:
     config = _load(args)
     out = Path(args.out)
     scans_dir = Path(args.scans) if args.scans else out / "scans"
-    manifest = json.loads((scans_dir / "views.json").read_text())
+    # every number reads as a float, so an integer too large for one is inf
+    manifest = json.loads((scans_dir / "views.json").read_text(), parse_int=float)
     files, angles = (manifest.get(key) if isinstance(manifest, dict) else None
                      for key in ("files", "angles"))
     if not (isinstance(files, list) and all(isinstance(f, str) for f in files)
             and isinstance(angles, list)
-            and all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in angles)):
+            and all(isinstance(a, float) and math.isfinite(a) for a in angles)):
         raise ValueError(f"{scans_dir / 'views.json'} must be an object with a 'files' "
-                         f"list of file names and an 'angles' list of numbers")
+                         f"list of file names and an 'angles' list of finite numbers")
     scans = [pc.load_ply(scans_dir / f) for f in files]
     # checked here: the model stage reports every failure as a numeric one
     if len(scans) < 2 or len(angles) != len(scans) or not all(len(s) for s in scans):

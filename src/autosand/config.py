@@ -24,7 +24,7 @@ from .domains import check
 from .dynamics import MAX_STEP, BeltContact, RobotModel
 from .impedance import ImpedanceSpec
 from .planner import GaParams, PlannerConfig
-from .pointcloud import IcpParams, QualityParams, ScannerConfig, SorConfig
+from .pointcloud import QualityParams, ScannerConfig
 
 
 @dataclass
@@ -117,8 +117,6 @@ class PipelineConfig:
     setpoint: SetpointConfig = field(default_factory=SetpointConfig)
     object: ObjectConfig = field(default_factory=ObjectConfig)
     scanner: ScannerConfig = field(default_factory=ScannerConfig)
-    sor: SorConfig = field(default_factory=SorConfig)
-    icp: IcpParams = field(default_factory=IcpParams)
     quality: QualityParams = field(default_factory=QualityParams)
     ga: GaParams = field(default_factory=GaParams)
     planner: PlannerConfig = field(default_factory=PlannerConfig)

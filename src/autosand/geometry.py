@@ -21,9 +21,9 @@ class RigidTransform:
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > _ORTHO_TOL:
+        if not err <= _ORTHO_TOL:          # so a nan entry fails too
             raise ValueError(f"rotation is not orthonormal (error {err:.3g})")
-        if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHO_TOL:
+        if not abs(np.linalg.det(self.rotation) - 1.0) <= _ORTHO_TOL:
             raise ValueError("rotation must be proper (det = +1)")
 
     @classmethod

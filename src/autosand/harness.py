@@ -246,13 +246,15 @@ def nominal_setup(config: PipelineConfig) -> SandingSetup:
 
 # --- scanning helpers ------------------------------------------------------------
 
+FIELD_MARGIN = 0.05   # m; the field filter's box reaches this far past the object
+
+
 def field_bounds(config: PipelineConfig):
     """The field filter's box: the object's widest radius, which the radii
     reach on either sign of radius_variation, and its height, each widened
-    by the scanner's field_margin."""
-    r = config.object.mean_radius + abs(config.object.radius_variation) \
-        + config.scanner.field_margin
-    h = config.object.height / 2.0 + config.scanner.field_margin
+    by FIELD_MARGIN."""
+    r = config.object.mean_radius + abs(config.object.radius_variation) + FIELD_MARGIN
+    h = config.object.height / 2.0 + FIELD_MARGIN
     return np.array([-r, -r, -h]), np.array([r, r, h])
 
 
@@ -390,7 +392,7 @@ def _scan_stage(config, cell, out):
 @_stage("model")
 def _model_stage(config, scans, angles, out):
     out.mkdir(parents=True, exist_ok=True)
-    model_cloud = pc.merge_scans(scans, angles, config.icp, config.sor)
+    model_cloud = pc.merge_scans(scans, angles)
     pc.save_ply(model_cloud, out / "model.ply")
     return model_cloud
 
@@ -446,8 +448,7 @@ def _transit_leg(config, cell, i, j, leg, out) -> pln.Trajectory:
     """Plan and time the leg from task i (-1: home) to task j and write its CSV."""
     traj = pln.lspb_parameterize(_plan_transit(config, cell, i, j),
                                  config.robot.velocity_limits,
-                                 config.robot.acceleration_limits,
-                                 config.planner.sample_dt)
+                                 config.robot.acceleration_limits, pln.SAMPLE_DT)
     (out / "transits").mkdir(parents=True, exist_ok=True)
     write_csv(out / "transits" / f"leg{leg:02d}_face{cell.tasks[j].face_id:02d}.csv",
               TRANSIT_COLUMNS,

@@ -44,10 +44,13 @@ from .geometry import ConvexShape, RigidTransform
 
 GJK_MAX_ITERS = 64
 GJK_TOL = 1e-9
-BROAD_MARGIN = 1e-6  # m; far above GJK_TOL and the rounding of batched poses
-RETREAT_STEP = 0.02  # m; spacing of the retreat rule's via-points along -x, off the belt
-RETREAT_MAX = 0.10   # m; farthest retreat the rule tries
-RAW_BLOCK = 1024     # PCG64 words read per random_raw call by _pcg64_draws
+BROAD_MARGIN = 1e-6   # m; far above GJK_TOL and the rounding of batched poses
+RETREAT_STEP = 0.02   # m; spacing of the retreat rule's via-points along -x, off the belt
+RETREAT_MAX = 0.10    # m; farthest retreat the rule tries
+MAX_RULE_REPAIRS = 4  # depth of retreat repairs before random via-points
+SAMPLE_BUDGET = 200   # random via-points tried before NoPathFound
+SAMPLE_DT = 0.01      # s; sample period of a timed transit
+RAW_BLOCK = 1024      # PCG64 words read per random_raw call by _pcg64_draws
 
 
 class NoPathFound(Exception):
@@ -193,14 +196,10 @@ class GaParams:
 @dataclass
 class PlannerConfig:
     task_step: float = 0.005
-    max_rule_repairs: int = 4
-    sample_budget: int = 200
     straight_line_cost: bool = False   # GA fitness from straight segments instead of planned paths
-    sample_dt: float = 0.01
 
     def __post_init__(self):
-        check(self, task_step="> 0", max_rule_repairs=">= 0", sample_budget=">= 0",
-              sample_dt="> 0")
+        check(self, task_step="> 0")
 
 
 @dataclass
@@ -282,8 +281,8 @@ def plan_single_query(ctx: PlannerContext, q_start: np.ndarray,
     Colliding segments are split at a via-point pushed away from the belt
     plane, along -x (the task-space retreat mapped through the pseudo-inverse,
     whose first column is the joint motion per metre of x); after
-    max_rule_repairs recursive attempts, seeded random via-points are tried up
-    to the sampling budget.
+    MAX_RULE_REPAIRS recursive attempts, seeded random via-points are tried up
+    to SAMPLE_BUDGET of them.
     """
     for name, q in (("start", q_start), ("goal", q_goal)):
         if not ctx.within_limits(q):
@@ -313,7 +312,7 @@ def plan_single_query(ctx: PlannerContext, q_start: np.ndarray,
                 return left[:-1] + right
         rng = np.random.default_rng(ctx.seed)
         lim = ctx.model.joint_limits
-        for _ in range(ctx.params.sample_budget):
+        for _ in range(SAMPLE_BUDGET):
             via = rng.uniform(lim[:, 0], lim[:, 1])
             if ctx.in_collision(via):
                 continue
@@ -321,7 +320,7 @@ def plan_single_query(ctx: PlannerContext, q_start: np.ndarray,
                 return [qa, via, qb]
         raise NoPathFound("repair rules and sampling budget exhausted")
 
-    waypoints = connect(q_start, q_goal, ctx.params.max_rule_repairs)
+    waypoints = connect(q_start, q_goal, MAX_RULE_REPAIRS)
     deduped = [waypoints[0]]
     for w in waypoints[1:]:
         if np.linalg.norm(w - deduped[-1]) > 0.0:

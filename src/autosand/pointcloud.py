@@ -19,9 +19,15 @@ from scipy.spatial import cKDTree
 from .domains import check
 from .geometry import ConvexShape, RigidTransform
 
-SOR_ENTRIES = 2**17  # neighbours per SOR query: 1 MiB per float64 or intp array
-ICP_LEAFSIZE = 48    # points per leaf of ICP's target tree: the fastest of 16/32/48/64
-ICP_BOUND = 1.5      # ICP searches out to this many times the last gate
+SOR_K = 50               # neighbours whose mean distance SOR compares
+SOR_ALPHA = 1.0          # SOR drops points past the mean plus this many deviations
+SOR_ENTRIES = 2**17      # neighbours per SOR query: 1 MiB per float64 or intp array
+ICP_MAX_ITERS = 60       # iterations ICP runs at most
+ICP_TOL = 1e-12          # ICP stops once the rms changes by less than this
+ICP_REJECT_RATIO = 5.0   # ICP's gate, in medians of the correspondence distances
+ICP_MAX_DIVERGING = 5    # consecutive rises of the rms that raise Diverged
+ICP_LEAFSIZE = 48        # points per leaf of ICP's target tree: the fastest of 16/32/48/64
+ICP_BOUND = 1.5          # ICP searches out to this many times the last gate
 
 
 class EmptyScan(Exception):
@@ -83,12 +89,10 @@ class ScannerConfig:
     intensity_base: float = 0.88
     intensity_slope: float = 250.0
     speckle: float = 0.05
-    field_margin: float = 0.05     # box half-width around the object for the field filter
 
     def __post_init__(self):
         check(self, density="> 0", depth_noise=">= 0", view_dir="", n_views=">= 2",
-              intensity_base=">= 0 and <= 1", intensity_slope=">= 0", speckle=">= 0",
-              field_margin=">= 0")
+              intensity_base=">= 0 and <= 1", intensity_slope=">= 0", speckle=">= 0")
         if not self.view_dir.any():
             raise ValueError("view_dir must be a non-zero 3-vector")
 
@@ -193,23 +197,11 @@ def fit_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     return RigidTransform(rot, ct - rot @ cs)
 
 
-@dataclass
-class IcpParams:
-    max_iters: int = 60
-    tol: float = 1e-12
-    reject_ratio: float = 5.0
-    max_diverging: int = 5
-
-    def __post_init__(self):
-        check(self, max_iters=">= 1", tol=">= 0", reject_ratio="> 0", max_diverging=">= 1")
-
-
-def icp_register(source: PointCloud, target: PointCloud, params: IcpParams,
-                 init: RigidTransform):
+def icp_register(source: PointCloud, target: PointCloud, init: RigidTransform):
     """Iterative closest point from the guess init: returns (transform
     source->target frame, rms).
 
-    Correspondences beyond the gate reject_ratio * median + 1e-300 are
+    Correspondences beyond the gate ICP_REJECT_RATIO * median + 1e-300 are
     discarded, which tolerates the partial overlap between consecutive views.
 
     The neighbour search stops at a bound of ICP_BOUND times the last gate
@@ -243,15 +235,15 @@ def icp_register(source: PointCloud, target: PointCloud, params: IcpParams,
     tf = init
     tree = cKDTree(target.points, leafsize=ICP_LEAFSIZE)
     sample = tf.apply(source.points[::max(1, len(source) // 64)])
-    gate = params.reject_ratio * np.median(tree.query(sample)[0]) + 1e-300
+    gate = ICP_REJECT_RATIO * np.median(tree.query(sample)[0]) + 1e-300
     best_tf, best_rms = tf, np.inf
     prev_rms = np.inf
     worse = 0
-    for _ in range(params.max_iters):
+    for _ in range(ICP_MAX_ITERS):
         moved = tf.apply(source.points)
         for bound in (ICP_BOUND * gate, np.inf):
             dists, idx = tree.query(moved, distance_upper_bound=bound, workers=-1)
-            gate = params.reject_ratio * np.median(dists) + 1e-300
+            gate = ICP_REJECT_RATIO * np.median(dists) + 1e-300
             if gate <= 0.95 * bound:
                 break
         keep = dists <= gate
@@ -264,18 +256,18 @@ def icp_register(source: PointCloud, target: PointCloud, params: IcpParams,
             best_tf, best_rms = tf, rms
         if rms > prev_rms:
             worse += 1
-            if worse >= params.max_diverging:
+            if worse >= ICP_MAX_DIVERGING:
                 raise Diverged(f"rms rose {worse} consecutive iterations")
         else:
             worse = 0
-        if abs(prev_rms - rms) < params.tol:
+        if abs(prev_rms - rms) < ICP_TOL:
             break
         prev_rms = rms
         tf = fit_rigid(source.points[keep], target.points[idx[keep]])
     return best_tf, best_rms
 
 
-def register_sequence(scans, commanded_angles, params: IcpParams):
+def register_sequence(scans, commanded_angles):
     """Register each scan into the first scan's frame.
 
     The commanded rotation about z between consecutive views seeds the ICP, the
@@ -289,30 +281,21 @@ def register_sequence(scans, commanded_angles, params: IcpParams):
     transforms = [RigidTransform.identity()]
     for i in range(len(scans) - 1):
         rel_init = RigidTransform.rotation_z(commanded_angles[i] - commanded_angles[i + 1])
-        rel, _ = icp_register(scans[i + 1], scans[i], params, rel_init)
+        rel, _ = icp_register(scans[i + 1], scans[i], rel_init)
         transforms.append(transforms[i].compose(rel))
     return transforms
 
 
-@dataclass
-class SorConfig:
-    k: int = 50
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        check(self, k=">= 1", alpha="")
-
-
-def merge_scans(scans, commanded_angles, icp: IcpParams, sor: SorConfig) -> PointCloud:
+def merge_scans(scans, commanded_angles) -> PointCloud:
     """Fuse rotated views into one model cloud in the first view's frame."""
-    transforms = register_sequence(scans, commanded_angles, icp)
+    transforms = register_sequence(scans, commanded_angles)
     pts = np.vstack([tf.apply(s.points) for tf, s in zip(transforms, scans)])
     if all(s.intensity is not None for s in scans):
         inten = np.concatenate([s.intensity for s in scans])
     else:
         inten = None
     merged = PointCloud(pts, inten)
-    return sor_filter(merged, sor.k, sor.alpha)
+    return sor_filter(merged, SOR_K, SOR_ALPHA)
 
 
 @dataclass

@@ -118,8 +118,7 @@ def test_criterion_5_icp_recovery():
                                              view_dir=(-1, -0.3, -0.5)),
                             surface_seed=5, sensor_seed=0)
     truth = RigidTransform.rotation_z(math.radians(10.0), (0.01, 0.02, 0.0))
-    tf, _ = pc.icp_register(src, transformed(src, truth), pc.IcpParams(),
-                            RigidTransform.identity())
+    tf, _ = pc.icp_register(src, transformed(src, truth), RigidTransform.identity())
     clean_ok = (np.abs(tf.rotation - truth.rotation).max() < 1e-6
                 and np.abs(tf.translation - truth.translation).max() < 1e-6)
 
@@ -128,7 +127,7 @@ def test_criterion_5_icp_recovery():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         noisy = pc.PointCloud(clean_pts + rng.standard_normal(clean_pts.shape) * 2e-4)
-        tf, _ = pc.icp_register(src, noisy, pc.IcpParams(), RigidTransform.identity())
+        tf, _ = pc.icp_register(src, noisy, RigidTransform.identity())
         worst_t = max(worst_t, np.linalg.norm(tf.translation - truth.translation))
         cos_a = (np.trace(tf.rotation @ truth.rotation.T) - 1.0) / 2.0
         worst_r = max(worst_r, math.degrees(math.acos(min(1.0, max(-1.0, cos_a)))))

@@ -9,7 +9,7 @@ import pytest
 from autosand import controller as ctl
 from autosand import dynamics as dyn
 from autosand import harness
-from autosand.config import PipelineConfig
+from autosand.config import ContactConfig, PipelineConfig
 from conftest import lasting, noise_free
 
 
@@ -119,6 +119,34 @@ class TestForceRegulation:
         x_err_stiff = abs(result.log[-1, 9] - setup.x_d[0])
         x_err_nominal = abs(nominal_run.log[-1, 9] - 0.0515)
         assert x_err_stiff > 10 * x_err_nominal
+
+
+def belt_setup(config, stiffness):
+    """The nominal scenario, 2 s with a noise-free sensor, against a belt of
+    the given stiffness and the default damping, with x_d |f_d| / k inside
+    the belt as _sand_face sets it."""
+    belt = dataclasses.replace(config, contact=ContactConfig(stiffness=stiffness))
+    setup = harness.nominal_setup(lasting(noise_free(belt), 2.0))
+    depth = abs(config.setpoint.force) / stiffness
+    setup.x_d = np.array([setup.contact.plane_offset + depth, setup.x_d[1], setup.x_d[2]])
+    return setup
+
+
+class TestStiffBeltEnvelope:
+    """Today's envelope of belt stiffness at the default gains and damping
+    of 800 N s/m: 2e4 N/m holds the force, 2.5e4 N/m does not.  A change to
+    the contact handling that moves the envelope changes this test."""
+
+    def test_holds_at_2e4(self, config):
+        result = harness.simulate_sanding(belt_setup(config, 2e4))
+        assert abs(result.steady_force - config.setpoint.force) < 1e-3
+        assert result.monitor.passed and result.monitor.settle_time < 0.5
+
+    def test_leaves_its_joint_range_at_2_5e4(self, config):
+        # the tool leaves the belt and the carriage runs to its lower limit
+        with pytest.raises(dyn.JointLimitViolation, match="^joint 0 ") as info:
+            harness.simulate_sanding(belt_setup(config, 2.5e4))
+        assert float(str(info.value).rpartition("t = ")[2]) < 1.0
 
 
 class TestImpedanceVectorConvergence:

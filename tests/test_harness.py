@@ -23,8 +23,8 @@ from autosand import cli, harness
 from autosand import controller as ctl
 from autosand import planner as pln
 from autosand import pointcloud as pc
-from autosand.config import (ContactConfig, PipelineConfig, PipelineOptions, from_ini,
-                             load_config, save_config, to_ini)
+from autosand.config import (ContactConfig, ObjectConfig, PipelineConfig, PipelineOptions,
+                             SimConfig, from_ini, load_config, save_config, to_ini)
 from autosand.dynamics import RobotModel
 from autosand.geometry import RigidTransform
 from autosand.impedance import ImpedanceSpec
@@ -51,21 +51,35 @@ REMOVED_KEYS = (
     "[pipeline]\nquality_gate = true\n",
     "[planner]\nretreat_step = 0.02\n",
     "[planner]\nretreat_max = 0.1\n",
+    "[icp]\nmax_iters = 60\n",
+    "[icp]\ntol = 1e-12\n",
+    "[icp]\nreject_ratio = 5\n",
+    "[icp]\nmax_diverging = 5\n",
+    "[sor]\nk = 50\n",
+    "[sor]\nalpha = 1\n",
+    "[planner]\nmax_rule_repairs = 4\n",
+    "[planner]\nsample_budget = 200\n",
+    "[planner]\nsample_dt = 0.01\n",
+    "[scanner]\nfield_margin = 0.05\n",
 )
 
 
 def small_config(**overrides):
-    """Cut-down workcell: fewer faces, short sanding, light scanner and GA."""
-    cfg = PipelineConfig()
-    cfg.object.sides = 4
-    cfg.scanner.density = 8e4
-    cfg.sim.sanding_duration = 1.2
-    cfg.ga.population_size = 30
-    cfg.ga.max_generations = 15
-    for key, value in overrides.items():
+    """Cut-down workcell: fewer faces, short sanding, light scanner and GA.
+
+    Each overridden section is rebuilt with dataclasses.replace, so every
+    value goes through its section's load checks, an unknown key raises
+    TypeError, and PipelineConfig checks the sections against each other."""
+    changes = {}
+    for key, value in {"object.sides": 4, "scanner.density": 8e4,
+                       "sim.sanding_duration": 1.2, "ga.population_size": 30,
+                       "ga.max_generations": 15, **overrides}.items():
         section, name = key.split(".")
-        setattr(getattr(cfg, section), name, value)
-    return cfg
+        changes.setdefault(section, {})[name] = value
+    cfg = PipelineConfig()
+    return dataclasses.replace(cfg, **{
+        section: dataclasses.replace(getattr(cfg, section), **kw)
+        for section, kw in changes.items()})
 
 
 # Every deterministic artifact of a run: report.json is left out, as it holds
@@ -106,9 +120,8 @@ def pipeline_reference(run_dir) -> dict:
 
 class TestConfigFile:
     def test_roundtrip(self):
-        cfg = small_config()
-        cfg.control.robust_gain = 17.5
-        cfg.pipeline.home = (-0.5, 0.25, 0.1, -0.1)
+        cfg = small_config(**{"control.robust_gain": 17.5,
+                              "pipeline.home": (-0.5, 0.25, 0.1, -0.1)})
         text = to_ini(cfg)
         back = from_ini(text)
         assert back.object.sides == 4
@@ -150,8 +163,7 @@ class TestConfigFile:
     def test_sanding_duration_spans_two_ticks(self, duration, ok):
         # the descent monitor needs two samples; simulate_sanding runs
         # round(duration / dt_control) ticks
-        sim = PipelineConfig().sim
-        sim.sanding_duration = duration
+        sim = SimConfig(sanding_duration=duration)
         if ok:
             PipelineConfig(sim=sim)
         else:
@@ -325,9 +337,9 @@ class TestRunReport:
 
 class TestQualityGate:
     def test_impossible_threshold_exhausts_resands(self, tmp_path):
+        # rough_ratio 0 is impossible: rms is strictly positive
         cfg = small_config(**{"object.sides": 3, "pipeline.max_resand": 2,
-                              "sim.sanding_duration": 0.8})
-        cfg.quality.rough_ratio = 0.0  # impossible: rms is strictly positive
+                              "sim.sanding_duration": 0.8, "quality.rough_ratio": 0.0})
         report = harness.run_pipeline(cfg, tmp_path / "fail")
         assert not report.passed
         assert all(not f.passed for f in report.faces)
@@ -379,12 +391,11 @@ class TestSandingSetup:
 
 class TestFieldBounds:
     @pytest.mark.parametrize("variation", [0.006, -0.006])
-    def test_box_holds_every_object_point(self, variation):
+    def test_box_holds_every_object_point(self, variation, monkeypatch):
         """The radii swing by |radius_variation| either way, so the field
         box keeps every point of the object's scan whatever the sign."""
-        cfg = PipelineConfig()
-        cfg.object.radius_variation = variation
-        cfg.scanner.field_margin = 0.005
+        cfg = PipelineConfig(object=ObjectConfig(radius_variation=variation))
+        monkeypatch.setattr(harness, "FIELD_MARGIN", 0.005)
         cell = harness.build_workcell(cfg)
         lo, hi = harness.field_bounds(cfg)
         for k, angle in enumerate((0.0, 1.0, 2.5)):
@@ -477,7 +488,6 @@ class TestCli:
         """Each bad config exits 1 at load, before any stage writes a file."""
         texts = BAD_INI + ("[control]\nvel_gain = 0\n",
                            "[scanner]\nview_dir = 0, 0, 0\n",
-                           "[sor]\nk = 0\n",
                            "[scanner]\nn_views = 1\n",
                            "[object]\nsides = 2\n",
                            "[sim]\ndt_physics = 0\n",
@@ -510,12 +520,6 @@ class TestCli:
         "[scanner]\ndepth_noise = inf\n",
         "[object]\nradius_variation = 0.07\n",  # negative radii
         "[object]\nradius_variation = -0.06\n",
-        "[icp]\nmax_iters = 0\n",           # views merged unrefined, rms inf
-        "[icp]\nmax_diverging = 0\n",
-        "[icp]\ntol = -1\n",
-        "[icp]\ntol = nan\n",
-        "[icp]\nreject_ratio = 0\n",
-        "[icp]\nreject_ratio = inf\n",
         "[scanner]\ndensity = 0\n",          # one point per face: SOR fails, exit 4
         "[scanner]\ndensity = inf\n",
         "[contact]\nstiffness = 0\n",        # the setpoint depth divides by it
@@ -524,9 +528,6 @@ class TestCli:
         "[control]\nn_centers = 1\n",        # the RBF width needs two centers
         "[control]\nlearn_rate = -1\n",
         "[planner]\ntask_step = 0\n",
-        "[planner]\nsample_dt = 0\n",
-        "[planner]\nmax_rule_repairs = -1\n",
-        "[planner]\nsample_budget = -1\n",
         "[object]\nheight = 0\n",
         "[quality]\nwindow = 0\n",
         "[pipeline]\nmax_resand = -1\n",
@@ -538,17 +539,28 @@ class TestCli:
         "[scanner]\nintensity_base = 7\n",
         "[scanner]\nintensity_slope = -250\n",
         "[scanner]\nspeckle = -0.05\n",
-        "[scanner]\nfield_margin = -0.2\n",   # failed in the scan stage, exit 4
         "[quality]\nintensity_threshold = 1.5\n",
         "[quality]\nmin_window_points = -5\n",
         "[quality]\nover_ratio = -1.5\n",
         "[quality]\nrough_ratio = -0.7\n",
         "[ga]\nseed = -1\n",                  # failed in the plan stage, exit 4
         "[pipeline]\napproach_clearance = -0.5\n",
-        "[pipeline]\nhome = -1.5, 0.3, 0, 0\n"])   # failed in the plan stage, exit 3
+        "[pipeline]\nhome = -1.5, 0.3, 0, 0\n",   # failed in the plan stage, exit 3
+        # keys that were settings once and are constants now (REMOVED_KEYS)
+        "[icp]\nmax_iters = 0\n",
+        "[icp]\nmax_diverging = 0\n",
+        "[icp]\ntol = -1\n",
+        "[icp]\ntol = nan\n",
+        "[icp]\nreject_ratio = 0\n",
+        "[icp]\nreject_ratio = inf\n",
+        "[planner]\nsample_dt = 0\n",
+        "[planner]\nmax_rule_repairs = -1\n",
+        "[planner]\nsample_budget = -1\n",
+        "[scanner]\nfield_margin = -0.2\n"])
     def test_out_of_domain_value_exit_code(self, tmp_path, capsys, text):
-        """A value outside its domain raises ValueError at load, so `run`
-        exits 1 with one error line and writes nothing."""
+        """A value outside its domain, or any value of a key that is no
+        longer a setting, raises ValueError at load, so `run` exits 1 with
+        one error line and writes nothing."""
         with pytest.raises(ValueError):
             from_ini(text)
         path = tmp_path / "bad.ini"
@@ -568,7 +580,7 @@ class TestCli:
                 for section in dataclasses.fields(config)
                 for f in dataclasses.fields(getattr(config, section.name)) if f.init]
         numeric = [(s, k, v) for s, k, v in keys if not isinstance(v, bool)]
-        assert len(keys) == 66 and len(numeric) > 50
+        assert len(keys) == 56 and len(numeric) > 50
         path, out = tmp_path / "bad.ini", tmp_path / "run"
         for section, key, default in numeric:
             rest = [repr(v) for v in np.ravel(default).tolist()[1:]]
@@ -583,10 +595,18 @@ class TestCli:
 
     @pytest.mark.parametrize("manifest", [[1, 2], {"files": []},
                                           {"files": [1], "angles": [0.0]},
-                                          {"files": ["v.ply"], "angles": ["0"]}])
+                                          {"files": ["v.ply"], "angles": ["0"]},
+                                          {"files": ["v.ply", "w.ply"],
+                                           "angles": [0.0, float("nan")]},
+                                          {"files": ["v.ply", "w.ply"],
+                                           "angles": [0.0, float("inf")]},
+                                          {"files": ["v.ply", "w.ply"],
+                                           "angles": [0.0, 10 ** 400]}])
     def test_malformed_manifest_exit_code(self, tmp_path, capsys, manifest):
         """A views.json that is not an object with a list of file names and
-        a list of angles is bad input: one error line, exit 1."""
+        a list of finite angles is bad input: one error line, exit 1.  json
+        writes nan and inf as the tokens NaN and Infinity, which it reads
+        back as floats, and 10 ** 400 as an integer no float can hold."""
         scans = tmp_path / "scans"
         scans.mkdir()
         (scans / "views.json").write_text(json.dumps(manifest))
@@ -632,8 +652,7 @@ class TestCli:
 
     def test_quality_failure_exit_code(self, tmp_path):
         cfg = small_config(**{"object.sides": 3, "pipeline.max_resand": 1,
-                              "sim.sanding_duration": 0.8})
-        cfg.quality.rough_ratio = 0.0
+                              "sim.sanding_duration": 0.8, "quality.rough_ratio": 0.0})
         cfg_path = tmp_path / "cfg.ini"
         save_config(cfg, cfg_path)
         out = str(tmp_path / "run")
@@ -786,10 +805,17 @@ UNUSED_ALLOWED = {
 
 
 def src_definitions():
-    """(qualified name, name, file, line) of every top-level function and class
-    in src/autosand and of every non-dunder method of those classes."""
+    """(qualified name, name, file, line) of every top-level function, class
+    and non-dunder name assigned at the top level of src/autosand, and of
+    every non-dunder method of those classes."""
     for path in sorted((REPO / "src" / "autosand").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)):
+                    if not (name.startswith("__") and name.endswith("__")):
+                        yield f"{path.stem}.{name}", name, path, node.lineno
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             yield f"{path.stem}.{node.name}", node.name, path, node.lineno

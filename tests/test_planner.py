@@ -117,13 +117,13 @@ class TestPlanSingleQuery:
             for q in np.linspace(qa, qb, n):
                 assert not ctx.in_collision(q)
 
-    def test_no_path_when_fully_enclosed(self):
+    def test_no_path_when_fully_enclosed(self, monkeypatch):
         # a wall spanning the entire workspace separates start from goal, so
         # every candidate route crosses it and the budget runs out
         wall = box((0.2, 4.0, 4.0), center=(-0.1, 0.0, 0.0))
         ctx = planner_context([wall])
-        ctx.params.sample_budget = 5
-        ctx.params.max_rule_repairs = 1
+        monkeypatch.setattr(pl, "SAMPLE_BUDGET", 5)
+        monkeypatch.setattr(pl, "MAX_RULE_REPAIRS", 1)
         start = np.array([-0.95, -0.3, 0.0, 0.0])   # end effector at x -0.45
         goal = np.array([-0.2, 0.3, 0.0, 0.0])      # end effector at x +0.30
         assert not ctx.in_collision(start) and not ctx.in_collision(goal)

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from autosand import geometry as geo
 from autosand import harness
 from autosand import pointcloud as pc
-from autosand.config import PipelineConfig
+from autosand.config import ObjectConfig, PipelineConfig
 from test_harness import small_config
 
 REFERENCE = Path(__file__).parent / "data" / "registration_ref.npz"
@@ -57,14 +57,9 @@ def registration_reference() -> dict:
       ``sim.seed`` 0, the benchmark's ``sand_hold`` cell 0.  Its middle pair
       overlaps by about a third and runs every iteration.
     """
-    dense = PipelineConfig()
-    dense.object.sides = 4
-    dense.scanner.density = 5e5
-    dense.scanner.n_views = 5
-    dense.sim.seed = 0
-    prism3 = PipelineConfig()
-    prism3.object.sides = 3
-    prism3.sim.seed = 0
+    dense = PipelineConfig(object=ObjectConfig(sides=4),
+                           scanner=pc.ScannerConfig(density=5e5, n_views=5))
+    prism3 = PipelineConfig(object=ObjectConfig(sides=3))
     out = {}
     real_icp = pc.icp_register
     for name, config in (("small", small_config()), ("dense", dense),
@@ -80,7 +75,7 @@ def registration_reference() -> dict:
                                                 Path(tmp))
         pc.icp_register = recording_icp
         try:
-            pc.register_sequence(scans, angles, params=config.icp)
+            pc.register_sequence(scans, angles)
         finally:
             pc.icp_register = real_icp
         out[f"{name}_rotation"] = np.array([tf.rotation for tf, _ in pairs])
@@ -105,6 +100,10 @@ class TestRigidTransform:
         reflect = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             geo.RigidTransform(reflect, np.zeros(3))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            geo.RigidTransform(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            geo.RigidTransform.rotation_z(float("nan"))
 
     def test_products_stay_orthonormal(self, rng):
         tf = geo.RigidTransform.identity()
@@ -332,7 +331,7 @@ class TestSorFilter:
 class TestIcp:
     def test_self_registration(self):
         cloud = scan(geo.box((0.2, 0.2, 0.2)), noise=2e-4, sensor_seed=5)
-        tf, rms = pc.icp_register(cloud, cloud, pc.IcpParams(), IDENTITY)
+        tf, rms = pc.icp_register(cloud, cloud, IDENTITY)
         assert np.abs(tf.rotation - np.eye(3)).max() < 1e-12
         assert np.abs(tf.translation).max() < 1e-12
         assert rms < 1e-12
@@ -341,7 +340,7 @@ class TestIcp:
         src = scan(geo.box((0.2, 0.2, 0.2)))
         truth = geo.RigidTransform.rotation_z(math.radians(10.0), (0.01, 0.02, 0.0))
         tgt = transformed(src, truth)
-        tf, _ = pc.icp_register(src, tgt, pc.IcpParams(), IDENTITY)
+        tf, _ = pc.icp_register(src, tgt, IDENTITY)
         assert np.abs(tf.rotation - truth.rotation).max() < 1e-6
         assert np.abs(tf.translation - truth.translation).max() < 1e-6
 
@@ -352,7 +351,7 @@ class TestIcp:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             tgt = pc.PointCloud(clean + rng.standard_normal(clean.shape) * 2e-4)
-            tf, _ = pc.icp_register(src, tgt, pc.IcpParams(), IDENTITY)
+            tf, _ = pc.icp_register(src, tgt, IDENTITY)
             t_err = np.linalg.norm(tf.translation - truth.translation)
             cos_a = (np.trace(tf.rotation @ truth.rotation.T) - 1.0) / 2.0
             rot_err = math.degrees(math.acos(min(1.0, max(-1.0, cos_a))))
@@ -362,7 +361,7 @@ class TestIcp:
     def test_empty_cloud_rejected(self):
         cloud = scan(geo.box((0.2, 0.2, 0.2)))
         with pytest.raises(ValueError):
-            pc.icp_register(pc.PointCloud(np.zeros((0, 3))), cloud, pc.IcpParams(), IDENTITY)
+            pc.icp_register(pc.PointCloud(np.zeros((0, 3))), cloud, IDENTITY)
 
     def test_divergence_guard(self, monkeypatch):
         # a fit that pushes the source further away every call must trip the guard
@@ -374,9 +373,10 @@ class TestIcp:
                                       np.array([float(len(calls)), 0.0, 0.0]))
 
         monkeypatch.setattr(pc, "fit_rigid", runaway_fit)
+        monkeypatch.setattr(pc, "ICP_MAX_DIVERGING", 3)
         cloud = pc.PointCloud(np.random.default_rng(0).standard_normal((50, 3)))
         with pytest.raises(pc.Diverged):
-            pc.icp_register(cloud, cloud, pc.IcpParams(max_diverging=3), IDENTITY)
+            pc.icp_register(cloud, cloud, IDENTITY)
 
     def test_best_never_worse_than_init(self, rng):
         src = scan(geo.box((0.2, 0.2, 0.2)))
@@ -385,11 +385,11 @@ class TestIcp:
         init = geo.RigidTransform.rotation_z(0.18, (0.015, 0.005, 0.0))
         from scipy.spatial import cKDTree
         init_rms = np.sqrt((cKDTree(tgt.points).query(init.apply(src.points))[0] ** 2).mean())
-        _, rms = pc.icp_register(src, tgt, pc.IcpParams(), init)
+        _, rms = pc.icp_register(src, tgt, init)
         assert rms <= init_rms + 1e-15
 
 
-def unbounded_icp(source, target, params, init):
+def unbounded_icp(source, target, init):
     """icp_register with an unbounded neighbour search in every iteration:
     the reference whose (tf, rms) the bounded search must equal bit for bit."""
     tf = init
@@ -397,11 +397,11 @@ def unbounded_icp(source, target, params, init):
     best_tf, best_rms = tf, np.inf
     prev_rms = np.inf
     worse = 0
-    for _ in range(params.max_iters):
+    for _ in range(pc.ICP_MAX_ITERS):
         moved = tf.apply(source.points)
         dists, idx = tree.query(moved)
         med = np.median(dists)
-        keep = dists <= params.reject_ratio * med + 1e-300
+        keep = dists <= pc.ICP_REJECT_RATIO * med + 1e-300
         if keep.sum() < 3:
             keep = np.ones(len(dists), dtype=bool)
         rms = float(np.sqrt(np.mean(dists[keep] ** 2)))
@@ -409,24 +409,23 @@ def unbounded_icp(source, target, params, init):
             best_tf, best_rms = tf, rms
         if rms > prev_rms:
             worse += 1
-            if worse >= params.max_diverging:
+            if worse >= pc.ICP_MAX_DIVERGING:
                 raise pc.Diverged(f"rms rose {worse} consecutive iterations")
         else:
             worse = 0
-        if abs(prev_rms - rms) < params.tol:
+        if abs(prev_rms - rms) < pc.ICP_TOL:
             break
         prev_rms = rms
         tf = pc.fit_rigid(source.points[keep], target.points[idx[keep]])
     return best_tf, best_rms
 
 
-def assert_same_registration(source, target, init=IDENTITY, params=None):
-    """icp_register and unbounded_icp return the same bits, or both diverge;
-    params defaults to the [icp] section's defaults."""
+def assert_same_registration(source, target, init=IDENTITY):
+    """icp_register and unbounded_icp return the same bits, or both diverge."""
     outcomes = []
     for icp in (pc.icp_register, unbounded_icp):
         try:
-            tf, rms = icp(source, target, params or pc.IcpParams(), init)
+            tf, rms = icp(source, target, init)
         except pc.Diverged as err:
             outcomes.append(str(err))
         else:
@@ -474,7 +473,7 @@ class TestBoundedIcp:
 
     def test_search_is_bounded_after_the_sample(self, dense_pair, tree_queries):
         source, target, init = dense_pair
-        pc.icp_register(source, target, pc.IcpParams(), init)
+        pc.icp_register(source, target, init)
         (n_sample, first_bound), *rest = tree_queries
         assert 64 <= n_sample < 128 and first_bound == np.inf
         assert rest and all(np.isfinite(bound) for _, bound in rest)
@@ -500,15 +499,15 @@ class TestBoundedIcp:
         assert tree_queries[1][1] == pytest.approx(first_bound)
         assert tree_queries[2][1] == np.inf
 
-    def test_keep_all_path_requeries(self, tree_queries):
+    def test_keep_all_path_requeries(self, tree_queries, monkeypatch):
         # Every grid point is 0.1 from its match and 21 are 50 away; with
-        # reject_ratio 0.5 no correspondence passes the gate, so all are kept,
+        # ICP_REJECT_RATIO 0.5 no correspondence passes the gate, so all are kept,
         # including the 21 the bounded search cut off.
+        monkeypatch.setattr(pc, "ICP_REJECT_RATIO", 0.5)
         grid = integer_grid()
         source = grid + [0.1, 0.0, 0.0]
         source[1::25] += [0.0, 0.0, 50.0]
-        assert_same_registration(pc.PointCloud(source), pc.PointCloud(grid), IDENTITY,
-                                 pc.IcpParams(reject_ratio=0.5))
+        assert_same_registration(pc.PointCloud(source), pc.PointCloud(grid))
         assert tree_queries[1][1] < np.inf and tree_queries[2][1] == np.inf
 
     def test_self_registration_bound_underflows(self, tree_queries):
@@ -527,13 +526,13 @@ class TestBoundedIcp:
             return geo.RigidTransform(np.eye(3), np.array([0.1 * len(calls), 0.0, 0.0]))
 
         monkeypatch.setattr(pc, "fit_rigid", runaway_fit)
+        monkeypatch.setattr(pc, "ICP_MAX_DIVERGING", 3)
         cloud = pc.PointCloud(np.random.default_rng(0).standard_normal((500, 3)))
-        params = pc.IcpParams(max_diverging=3)
         fits = []
         for icp in (pc.icp_register, unbounded_icp):
             calls.clear()
             with pytest.raises(pc.Diverged):
-                icp(cloud, cloud, params, IDENTITY)
+                icp(cloud, cloud, IDENTITY)
             fits.append(len(calls))
         assert fits[0] == fits[1]
 
@@ -548,7 +547,9 @@ class TestBoundedIcp:
         tilt_x = geo.RigidTransform(np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]]),
                                     np.zeros(3))
         init = geo.RigidTransform.rotation_z(angle, shift).compose(tilt_x)
-        assert_same_registration(b, a, init, pc.IcpParams(reject_ratio=ratio))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pc, "ICP_REJECT_RATIO", ratio)
+            assert_same_registration(b, a, init)
 
     @settings(max_examples=30, deadline=None)
     @given(delta=st.floats(0.005, 0.05), far=st.floats(3.5, 4.9),
@@ -589,7 +590,7 @@ class TestMergeScans:
     def test_cube_four_views(self):
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=2e-4)
-        merged = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
+        merged = pc.merge_scans(scans, angles)
         dist = point_mesh_distance(merged.points, cube)
         assert np.sqrt((dist ** 2).mean()) < 1e-3
         # every lateral face is represented in the merged model
@@ -602,7 +603,7 @@ class TestMergeScans:
     def test_noise_free_transforms_exact(self):
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=0.0)
-        transforms = pc.register_sequence(scans, angles, pc.IcpParams())
+        transforms = pc.register_sequence(scans, angles)
         for tf, a in zip(transforms, angles):
             expected = geo.RigidTransform.rotation_z(angles[0] - a)
             assert np.abs(tf.rotation - expected.rotation).max() < 1e-6
@@ -611,9 +612,9 @@ class TestMergeScans:
     def test_threads_and_blocks_change_nothing(self, monkeypatch):
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=2e-4)
-        merged = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
+        merged = pc.merge_scans(scans, angles)
         n_points = sum(len(s) for s in scans)
-        k = pc.SorConfig().k
+        k = pc.SOR_K
         assert n_points > sor_rows(k)
 
         class SingleThreadTree(cKDTree):
@@ -622,7 +623,7 @@ class TestMergeScans:
 
         monkeypatch.setattr(pc, "cKDTree", SingleThreadTree)
         monkeypatch.setattr(pc, "SOR_ENTRIES", n_points * (k + 1))   # one block
-        single = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
+        single = pc.merge_scans(scans, angles)
         assert merged.points.tobytes() == single.points.tobytes()
         assert merged.intensity.tobytes() == single.intensity.tobytes()
 
@@ -630,13 +631,13 @@ class TestMergeScans:
         cube = geo.box((0.1, 0.1, 0.1))
         scans, angles = self.make_scans(cube, 4, noise=0.0)
         with pytest.raises(ValueError):
-            pc.merge_scans(scans[:1], angles[:1], pc.IcpParams(), pc.SorConfig())
+            pc.merge_scans(scans[:1], angles[:1])
 
     def test_merge_rms_below_noise_multiple(self):
         mesh = geo.prism(np.full(9, 0.06), 0.08)
         sigma = 2e-4
         scans, angles = self.make_scans(mesh, 4, noise=sigma)
-        merged = pc.merge_scans(scans, angles, pc.IcpParams(), pc.SorConfig())
+        merged = pc.merge_scans(scans, angles)
         dist = point_mesh_distance(merged.points, mesh)
         assert np.sqrt((dist ** 2).mean()) < 5 * sigma
 
